@@ -109,12 +109,12 @@ def cmd_check_trace(args) -> int:
             "command": "check-trace",
             "mode": mode.value,
             "events": len(trace),
-            "verdict": final.token,
+            "verdict": final.value,
             "witness": monitor.witness.to_dict() if monitor.witness else None,
-            "prefix_verdicts": [v.token for v in verdicts],
+            "prefix_verdicts": [v.value for v in verdicts],
         }))
     else:
-        print(final.token)
+        print(final.value)
         if monitor.witness is not None:
             print(_witness_text(monitor.witness, trace))
     return _EXIT_BY_VERDICT[final]
@@ -148,7 +148,7 @@ def cmd_monitor(args) -> int:
                 break
             event = program.observe(raw)
             verdict = monitor.step(event)
-            print(f"{step_no}\t{','.join(event.inputs)}\t{event.output}\t{verdict.token}")
+            print(f"{step_no}\t{','.join(event.inputs)}\t{event.output}\t{verdict.value}")
             if verdict.conclusive:
                 break
     finally:
@@ -175,7 +175,7 @@ def cmd_test(args) -> int:
         out["domain_size"] = domain.size
         print(json.dumps(out))
     else:
-        print(report.verdict.token)
+        print(report.verdict.value)
         print(f"steps: {report.steps} of {domain.size}")
         if report.witness is not None:
             print(_witness_text(report.witness, report.trace))

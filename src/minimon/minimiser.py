@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program
+from .properties import CollisionIndex, Mode
 from .trace import Event, InputDomain, InputTuple, is_token
 
 DEFAULT_SYNTH_CAP = 10**6
@@ -31,7 +32,6 @@ class PartitionMap:
     members in visitation order)."""
 
     classes: dict[str, tuple[InputTuple, ...]]
-    domain: InputDomain
 
     @property
     def count(self) -> int:
@@ -118,9 +118,7 @@ def synthesize(
     mapping = {
         inputs: reps[out] for out, members in classes.items() for inputs in members
     }
-    partition = PartitionMap(
-        {out: tuple(members) for out, members in classes.items()}, domain
-    )
+    partition = PartitionMap({out: tuple(members) for out, members in classes.items()})
     return MinimiserTable(mapping, domain.arity), partition
 
 
@@ -198,13 +196,12 @@ def validate_preprocessor(
             pre_ok = False
 
     injective = True
-    first_by_output: dict[str, InputTuple] = {}
-    for rep in reps_in_order:
+    index = CollisionIndex(Mode.MONOLITHIC)
+    for pos, rep in enumerate(reps_in_order):
         out = program.evaluate(rep)
-        prior = first_by_output.get(out)
-        if prior is None:
-            first_by_output[out] = rep
-        else:
+        hit = index.add(rep, out, pos)
+        if hit is not None:
+            prior = reps_in_order[hit[0]]
             failures.append(ValidationFailure(
                 "representatives-collide",
                 (prior, rep),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DeterminismViolation, InputOutsideDomain
-from .properties import Mode, Witness
+from .properties import CollisionIndex, Mode, Witness
 from .trace import Event, InputDomain, InputTuple, Trace
 
 
@@ -26,10 +26,6 @@ class Verdict(Enum):
     @property
     def conclusive(self) -> bool:
         return self is not Verdict.UNKNOWN
-
-    @property
-    def token(self) -> str:
-        return self.value
 
     def __str__(self) -> str:
         return self.value
@@ -49,10 +45,11 @@ class MonitorConfig:
 class Monitor:
     """Stateful monitor; feed events with step(), read verdict/witness.
 
-    Per-event cost is O(1) for monolithic mode and O(arity) for
-    strong-distributed mode: violations are detected against first-occurrence
-    indexes (per output, and per (source, masked input, output)), which also
-    reproduce the least witness pair.
+    Violations are detected against a first-occurrence CollisionIndex, which
+    also reproduces the least witness pair. Only a new input touches the
+    index: O(1) in monolithic mode, and in strong-distributed mode `arity`
+    masked tuples of length arity - 1, so O(arity^2). A repeat costs one
+    dictionary lookup.
     """
 
     def __init__(self, config: MonitorConfig):
@@ -61,10 +58,7 @@ class Monitor:
         self._events_seen = 0
         # input -> (output, first position); determinism record + coverage count
         self._seen_inputs: dict[InputTuple, tuple[str, int]] = {}
-        # output -> (input, first position); monolithic violation index
-        self._first_by_output: dict[str, tuple[InputTuple, int]] = {}
-        # (source, input minus that coordinate) -> {output -> (coord, first position)}
-        self._masked: dict[tuple[int, InputTuple], dict[str, tuple[str, int]]] = {}
+        self._index = CollisionIndex(config.mode)
         self._verdict = Verdict.UNKNOWN
         self._witness: Witness | None = None
 
@@ -109,10 +103,10 @@ class Monitor:
         if self._verdict.conclusive:
             return self._verdict
 
-        witness = self._detect(event, pos)
-        if witness is not None and pos >= 1:
+        hit = self._index.add(event.inputs, event.output, pos) if prior is None else None
+        if hit is not None:
             self._verdict = Verdict.FALSE
-            self._witness = witness
+            self._witness = Witness(self.config.mode, hit[0], pos, hit[1])
         elif (
             domain is not None
             and pos >= 1
@@ -120,29 +114,6 @@ class Monitor:
         ):
             self._verdict = Verdict.TRUE
         return self._verdict
-
-    def _detect(self, event: Event, pos: int) -> Witness | None:
-        if self.config.mode is Mode.MONOLITHIC:
-            prior = self._first_by_output.get(event.output)
-            if prior is None:
-                self._first_by_output[event.output] = (event.inputs, pos)
-                return None
-            if prior[0] != event.inputs:
-                return Witness(Mode.MONOLITHIC, prior[1], pos)
-            return None
-        coords = event.inputs
-        best: tuple[int, int] | None = None
-        for j in range(len(coords)):
-            key = (j, coords[:j] + coords[j + 1:])
-            slot = self._masked.setdefault(key, {})
-            hit = slot.get(event.output)
-            if hit is None:
-                slot[event.output] = (coords[j], pos)
-            elif hit[0] != coords[j] and (best is None or hit[1] < best[0]):
-                best = (hit[1], j)
-        if best is None:
-            return None
-        return Witness(Mode.STRONG_DISTRIBUTED, best[0], pos, differing_source=best[1])
 
 
 def monitor_eval(config: MonitorConfig, trace: Trace) -> tuple[Verdict, Witness | None]:

@@ -11,8 +11,8 @@ output token on stdout.
 from __future__ import annotations
 
 import collections
+import json
 import queue
-import re
 import subprocess
 import threading
 from typing import Callable
@@ -24,9 +24,7 @@ from .errors import (
     ProgramFailure,
     UnknownBuiltin,
 )
-from .trace import Event, InputDomain, InputTuple, check_input_tuple, is_token, iter_io_lines
-
-_INT_RE = re.compile(r"-?[0-9]+")
+from .trace import _INT_RE, Event, InputDomain, InputTuple, check_input_tuple, is_token, iter_io_lines
 
 
 class Program:
@@ -226,11 +224,20 @@ class TableProgram(Program):
 
 def save_table(mapping: dict[InputTuple, str], path: str) -> None:
     """Write a function table as JSONL rows (inverse of TableProgram.load)."""
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         for inputs, output in mapping.items():
             fh.write(json.dumps({"in": list(inputs), "out": output}, separators=(",", ":")) + "\n")
+
+
+def _read_stdout(proc: subprocess.Popen, lines: queue.Queue) -> None:
+    for line in proc.stdout:
+        lines.put(line)
+    lines.put(None)
+
+
+def _read_stderr(proc: subprocess.Popen, tail: collections.deque) -> None:
+    for line in proc.stderr:
+        tail.append(line)
 
 
 class CommandProgram(Program):
@@ -256,8 +263,6 @@ class CommandProgram(Program):
         self.session = session
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._lines: queue.Queue[bytes | None] = queue.Queue()
-        self._stderr_tail: collections.deque[bytes] = collections.deque(maxlen=50)
 
     def _spawn(self) -> None:
         try:
@@ -269,21 +274,12 @@ class CommandProgram(Program):
             )
         except OSError as exc:
             raise ProgramFailure(f"cannot start {self.name!r}: {exc}") from exc
-        threading.Thread(target=self._read_stdout, daemon=True).start()
-        threading.Thread(target=self._read_stderr, daemon=True).start()
-
-    def _read_stdout(self) -> None:
-        proc = self._proc
-        assert proc is not None and proc.stdout is not None
-        for line in proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
-
-    def _read_stderr(self) -> None:
-        proc = self._proc
-        assert proc is not None and proc.stderr is not None
-        for line in proc.stderr:
-            self._stderr_tail.append(line)
+        # Fresh per child: a killed child's reader must not leave its EOF
+        # sentinel or stderr lines where the next child's replies are read.
+        self._lines: queue.Queue[bytes | None] = queue.Queue()
+        self._stderr_tail: collections.deque[bytes] = collections.deque(maxlen=50)
+        threading.Thread(target=_read_stdout, args=(self._proc, self._lines), daemon=True).start()
+        threading.Thread(target=_read_stderr, args=(self._proc, self._stderr_tail), daemon=True).start()
 
     def _stderr_excerpt(self) -> str:
         return b"".join(self._stderr_tail).decode("utf-8", errors="replace")
@@ -343,7 +339,11 @@ class CommandProgram(Program):
                 stderr=self._stderr_excerpt(),
             ) from None
         if raw is None:
-            code = proc.wait()
+            try:
+                code = proc.wait(timeout=self.timeout)
+            except subprocess.TimeoutExpired:
+                self.close()
+                code = proc.returncode
             raise ProgramFailure(
                 f"{self.name!r}: process exited with code {code} before replying",
                 stderr=self._stderr_excerpt(),

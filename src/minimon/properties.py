@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import InputOutsideDomain
 from .trace import InputDomain, InputTuple, Trace
@@ -65,51 +66,60 @@ def single_diff_source(a: InputTuple, b: InputTuple) -> int | None:
     return found
 
 
+class CollisionIndex:
+    """First-occurrence collision index behind every minimality check.
+
+    Feed each distinct input once, in increasing position order. Keys are the
+    output (monolithic) or (source, input without that source, output)
+    (strong-distributed); since the fed inputs are distinct, any hit on an
+    existing key is a collision.
+    """
+
+    __slots__ = ("_sdist", "_first")
+
+    def __init__(self, mode: Mode):
+        self._sdist = mode is Mode.STRONG_DISTRIBUTED
+        self._first: dict = {}
+
+    def add(self, inputs: InputTuple, output: str, pos: int) -> tuple[int, int | None] | None:
+        """Index a new input; return the least earlier colliding (position,
+        differing_source), or None. differing_source is None in monolithic
+        mode."""
+        if not self._sdist:
+            prior = self._first.setdefault(output, pos)
+            return None if prior == pos else (prior, None)
+        best = None
+        for j in range(len(inputs)):
+            prior = self._first.setdefault((j, inputs[:j] + inputs[j + 1:], output), pos)
+            if prior != pos and (best is None or prior < best[0]):
+                best = (prior, j)
+        return best
+
+
+def least_collision(
+    mode: Mode, firsts: Iterable[tuple[InputTuple, str, int]]
+) -> tuple[int, int, int | None] | None:
+    """Least colliding (index_a, index_b, differing_source) among `firsts`,
+    (inputs, output, position) triples of distinct inputs in increasing
+    position order, or None."""
+    index = CollisionIndex(mode)
+    best = None
+    for inputs, output, pos in firsts:
+        hit = index.add(inputs, output, pos)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best = (hit[0], pos, hit[1])
+    return best
+
+
 def mono_witness(trace: Trace) -> Witness | None:
     """Least (index_a, index_b) pair of events with different inputs and equal
-    outputs, or None.
-
-    Single pass: the least pair's first element is always the first
-    occurrence of its output, so tracking one (input, position) per output
-    suffices.
-    """
-    first_by_output: dict[str, tuple[InputTuple, int]] = {}
-    best: tuple[int, int] | None = None
-    for pos, e in enumerate(trace):
-        prior = first_by_output.get(e.output)
-        if prior is None:
-            first_by_output[e.output] = (e.inputs, pos)
-        elif prior[0] != e.inputs:
-            if best is None or prior[1] < best[0]:
-                best = (prior[1], pos)
-    if best is None:
-        return None
-    return Witness(Mode.MONOLITHIC, best[0], best[1])
+    outputs, or None."""
+    return find_witness(Mode.MONOLITHIC, trace)
 
 
 def strong_dist_witness(trace: Trace) -> Witness | None:
-    """Least violating pair whose inputs differ in exactly one coordinate.
-
-    Indexes events by (source, input with that coordinate dropped, output):
-    two events collide exactly when they agree everywhere but one source and
-    share an output. First occurrences per key cover the least pair.
-    """
-    masked: dict[tuple[int, InputTuple], dict[str, tuple[str, int]]] = {}
-    best: tuple[int, int, int] | None = None
-    for pos, e in enumerate(trace):
-        coords = e.inputs
-        for j in range(len(coords)):
-            key = (j, coords[:j] + coords[j + 1:])
-            slot = masked.setdefault(key, {})
-            prior = slot.get(e.output)
-            if prior is None:
-                slot[e.output] = (coords[j], pos)
-            elif prior[0] != coords[j]:
-                if best is None or (prior[1], pos) < (best[0], best[1]):
-                    best = (prior[1], pos, j)
-    if best is None:
-        return None
-    return Witness(Mode.STRONG_DISTRIBUTED, best[0], best[1], differing_source=best[2])
+    """Least violating pair whose inputs differ in exactly one coordinate."""
+    return find_witness(Mode.STRONG_DISTRIBUTED, trace)
 
 
 def is_mono_minimal(trace: Trace) -> bool:
@@ -124,9 +134,15 @@ def is_strong_dist_minimal(trace: Trace) -> bool:
 
 
 def find_witness(mode: Mode, trace: Trace) -> Witness | None:
-    if mode is Mode.MONOLITHIC:
-        return mono_witness(trace)
-    return strong_dist_witness(trace)
+    """Least violating pair of `trace` under `mode`, or None.
+
+    Only first occurrences are indexed: if either event of a violating pair
+    repeats an earlier input, swapping in that earlier event gives a smaller
+    violating pair, so the least pair never contains a repeat.
+    """
+    firsts = ((inputs, out, pos) for inputs, (out, pos) in trace._first_seen.items())
+    best = least_collision(mode, firsts)
+    return None if best is None else Witness(mode, *best)
 
 
 def covers_domain(domain: InputDomain, trace: Trace) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DomainMismatch
 from .monitor import Monitor, MonitorConfig, Verdict
-from .properties import Mode, Witness
+from .properties import Mode, Witness, least_collision
 from .trace import InputDomain, InputTuple, Trace
 
 RANDOM_PERMUTATION = "random-permutation"
@@ -73,44 +73,28 @@ class IndistinguishablePair:
     value_b: str
 
 
+def _table_collision(table: FunctionTable, mode: Mode) -> tuple[bool, CollisionWitness | None]:
+    enumerated = enumerate(table.domain.enumerate())
+    firsts = ((inputs, table.outputs[inputs], pos) for pos, inputs in enumerated)
+    best = least_collision(mode, firsts)
+    if best is None:
+        return True, None
+    input_a, input_b = (
+        next(itertools.islice(table.domain.enumerate(), pos, None)) for pos in best[:2]
+    )
+    return False, CollisionWitness(input_a, input_b, differing_source=best[2])
+
+
 def table_mono_minimal(table: FunctionTable) -> tuple[bool, CollisionWitness | None]:
     """True iff the table is injective; else the least colliding input pair
     (by enumeration order)."""
-    first_by_output: dict[str, tuple[int, InputTuple]] = {}
-    best: tuple[int, InputTuple, InputTuple] | None = None
-    for pos, inputs in enumerate(table.domain.enumerate()):
-        out = table.outputs[inputs]
-        prior = first_by_output.get(out)
-        if prior is None:
-            first_by_output[out] = (pos, inputs)
-        elif best is None or prior[0] < best[0]:
-            best = (prior[0], prior[1], inputs)
-    if best is None:
-        return True, None
-    return False, CollisionWitness(best[1], best[2])
+    return _table_collision(table, Mode.MONOLITHIC)
 
 
 def table_strong_dist_minimal(table: FunctionTable) -> tuple[bool, CollisionWitness | None]:
     """True iff every input pair differing in exactly one coordinate has
     distinct outputs; else the least such colliding pair."""
-    masked: dict[tuple[int, InputTuple], dict[str, tuple[str, int]]] = {}
-    best: tuple[int, int, int, str, InputTuple] | None = None
-    for pos, inputs in enumerate(table.domain.enumerate()):
-        out = table.outputs[inputs]
-        for j in range(len(inputs)):
-            key = (j, inputs[:j] + inputs[j + 1:])
-            slot = masked.setdefault(key, {})
-            prior = slot.get(out)
-            if prior is None:
-                slot[out] = (inputs[j], pos)
-            elif prior[0] != inputs[j]:
-                if best is None or (prior[1], pos) < (best[0], best[1]):
-                    best = (prior[1], pos, j, prior[0], inputs)
-    if best is None:
-        return True, None
-    _, _, j, prior_coord, inputs_b = best
-    inputs_a = inputs_b[:j] + (prior_coord,) + inputs_b[j + 1:]
-    return False, CollisionWitness(inputs_a, inputs_b, differing_source=j)
+    return _table_collision(table, Mode.STRONG_DISTRIBUTED)
 
 
 def table_dist_minimal(
@@ -164,7 +148,7 @@ class TestReport:
 
     def to_dict(self) -> dict:
         return {
-            "verdict": self.verdict.token,
+            "verdict": self.verdict.value,
             "witness": self.witness.to_dict() if self.witness else None,
             "steps": self.steps,
             "strategy": self.strategy,

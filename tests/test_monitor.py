@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimon import (
     DeterminismViolation,
@@ -17,6 +18,7 @@ from minimon import (
     MonitorConfig,
     Trace,
     Verdict,
+    covers_domain,
     find_witness,
     is_mono_minimal,
     is_strong_dist_minimal,
@@ -24,7 +26,15 @@ from minimon import (
     prefix_verdicts,
 )
 
-from helpers import mono, random_function_trace, table1_events, table2_events
+from helpers import (
+    mono,
+    naive_mono_witness,
+    naive_sdm_witness,
+    random_full_table,
+    random_function_trace,
+    table1_events,
+    table2_events,
+)
 
 MONO = MonitorConfig(Mode.MONOLITHIC)
 SDM = MonitorConfig(Mode.STRONG_DISTRIBUTED)
@@ -33,7 +43,7 @@ SDM = MonitorConfig(Mode.STRONG_DISTRIBUTED)
 def test_table1_verdict_column():
     """Five salary observations: the third repeats an output and concludes."""
     verdicts = prefix_verdicts(MONO, Trace(table1_events()))
-    assert [v.token for v in verdicts] == [
+    assert [v.value for v in verdicts] == [
         "UNKNOWN", "UNKNOWN", "FALSE", "FALSE", "FALSE",
     ]
 
@@ -46,7 +56,7 @@ def test_table1_witness():
 
 def test_table2_verdict_column_and_witness():
     verdicts = prefix_verdicts(SDM, Trace(table2_events()))
-    assert [v.token for v in verdicts] == ["UNKNOWN", "UNKNOWN", "UNKNOWN", "FALSE"]
+    assert [v.value for v in verdicts] == ["UNKNOWN", "UNKNOWN", "UNKNOWN", "FALSE"]
     _, witness = monitor_eval(SDM, Trace(table2_events()))
     assert (witness.index_a, witness.index_b) == (1, 3)
     assert witness.differing_source == 1
@@ -65,7 +75,7 @@ def test_xor_full_coverage_concludes_true():
     domain = InputDomain([("0", "1"), ("0", "1")])
     config = MonitorConfig(Mode.STRONG_DISTRIBUTED, domain)
     verdicts = prefix_verdicts(config, Trace(_xor_events()))
-    assert [v.token for v in verdicts] == ["UNKNOWN", "UNKNOWN", "UNKNOWN", "TRUE"]
+    assert [v.value for v in verdicts] == ["UNKNOWN", "UNKNOWN", "UNKNOWN", "TRUE"]
 
 
 def test_no_domain_means_no_true():
@@ -173,6 +183,49 @@ class TestAgainstWholeTraceSemantics:
                     expected = find_witness(mode, Trace(trace.events[:k]))
                     assert mon.witness == expected
                     break
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(list(Mode)),
+    with_domain=st.booleans(),
+)
+def test_stepwise_verdict_matches_declarative_oracle(seed, mode, with_domain):
+    """Every prefix's stepwise verdict equals the declarative one, and the
+    latched witness is the naive least pair of the first violating prefix.
+    Domains may have a single element, where TRUE comes on a repeat."""
+    rnd = random.Random(seed)
+    domain = None
+    if with_domain:
+        domain, fn = random_full_table(rnd, max_arity=3, max_source=3, min_size=1)
+        pool = list(domain.enumerate())
+        inputs = [rnd.choice(pool) for _ in range(rnd.randint(0, 2 * len(pool) + 2))]
+        trace = Trace(Event(i, fn[i]) for i in inputs)
+    else:
+        trace = random_function_trace(rnd, length=rnd.randint(0, 20))
+    naive = naive_mono_witness if mode is Mode.MONOLITHIC else naive_sdm_witness
+    mon = Monitor(MonitorConfig(mode, domain))
+    first_false = None
+    for k, event in enumerate(trace, start=1):
+        prefix = Trace(trace.events[:k])
+        if find_witness(mode, prefix) is not None:
+            expected = Verdict.FALSE
+        elif domain is not None and covers_domain(domain, prefix) and k >= 2:
+            expected = Verdict.TRUE
+        else:
+            expected = Verdict.UNKNOWN
+        assert mon.step(event) is expected
+        if expected is Verdict.FALSE and first_false is None:
+            first_false = prefix
+    if first_false is None:
+        assert mon.witness is None
+    else:
+        w = mon.witness
+        got = (w.index_a, w.index_b)
+        if mode is Mode.STRONG_DISTRIBUTED:
+            got += (w.differing_source,)
+        assert got == naive(first_false)
 
 
 def test_true_is_stable_under_forced_extensions():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -274,6 +275,34 @@ class TestCommandProgram:
         with CommandProgram(argv, arity=1, timeout=0.3) as program:
             with pytest.raises(ProgramFailure, match="timed out"):
                 program.evaluate(("1",))
+
+    def test_session_recovers_after_timeout(self, tmp_path):
+        """A timed-out child is replaced by a fresh one whose replies are read
+        from its own queue, so the next call neither hangs nor misreads."""
+        argv = _write_script(
+            tmp_path,
+            "slow_echo.py",
+            """\
+            import sys, time
+            for line in sys.stdin:
+                v = line.rstrip("\\n")
+                if v == "slow":
+                    time.sleep(0.5)
+                sys.stdout.write("r" + v + "\\n")
+                sys.stdout.flush()
+            """,
+        )
+        with CommandProgram(argv, arity=1, timeout=0.3) as program:
+            with pytest.raises(ProgramFailure, match="timed out"):
+                program.evaluate(("slow",))
+            result = []
+            worker = threading.Thread(
+                target=lambda: result.append(program.evaluate(("b",))), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=5)
+            assert not worker.is_alive(), "evaluate after a timeout did not return"
+            assert result == ["rb"]
 
     def test_malformed_reply_with_embedded_tab(self, tmp_path):
         argv = _write_script(
