@@ -12,8 +12,9 @@ import random
 import shlex
 import sys
 import time
+from array import array
 
-from .errors import MinimonError
+from .errors import DeterminismViolation, MinimonError
 from .minimiser import (
     compose,
     load_minimiser,
@@ -35,9 +36,10 @@ from .tester import (
 )
 from .trace import (
     InputDomain,
-    Trace,
+    file_lines,
+    iter_io_lines,
+    line_conflict,
     load_domain,
-    load_trace,
     parse_input_lines,
 )
 
@@ -85,38 +87,53 @@ def _load_composed(args, arity: int) -> Program:
     return program
 
 
-def _witness_text(witness: Witness, trace: Trace | None = None) -> str:
-    a, b = witness.index_a, witness.index_b
-    parts = [f"witness: events {a} and {b}"]
-    if trace is not None and b < len(trace):
-        ea, eb = trace[a], trace[b]
-        parts.append(f"inputs {'/'.join(ea.inputs)} and {'/'.join(eb.inputs)}")
-        parts.append(f"shared output {eb.output}")
+def _witness_text(witness: Witness, records=None) -> str:
+    """One witness line; `records` gives the (inputs, output) pairs at the
+    two witness positions, when the caller has them."""
+    parts = [f"witness: events {witness.index_a} and {witness.index_b}"]
+    if records is not None:
+        (inputs_a, _), (inputs_b, output) = records
+        parts.append(f"inputs {'/'.join(inputs_a)} and {'/'.join(inputs_b)}")
+        parts.append(f"shared output {output}")
     if witness.differing_source is not None:
         parts.append(f"differing source {witness.differing_source}")
     return ", ".join(parts)
 
 
 def cmd_check_trace(args) -> int:
-    trace = load_trace(args.trace)
-    domain = load_domain(args.domain) if args.domain else None
+    # The trace is streamed: each record goes from the reader, which checks
+    # it once, straight into the monitor, the only determinism check here.
     mode = _MODES[args.mode]
-    monitor = Monitor(MonitorConfig(mode, domain))
-    verdicts = [monitor.step(event) for event in trace]
-    final = verdicts[-1] if verdicts else Verdict.UNKNOWN
+    with open(args.trace, "r", encoding="utf-8") as fh:
+        domain = load_domain(args.domain) if args.domain else None
+        monitor = Monitor(MonitorConfig(mode, domain))
+        verdicts: list[Verdict] = []
+        line_of = array("q")  # position -> file line, for determinism errors
+        for line_no, inputs, output in iter_io_lines(file_lines(fh)):
+            line_of.append(line_no)
+            try:
+                verdicts.append(monitor.step_io(inputs, output))
+            except DeterminismViolation as exc:
+                [(_, prior_output)] = monitor.first_occurrences([exc.index])
+                raise line_conflict(
+                    line_no, inputs, output, prior_output, exc.index, line_of[exc.index]
+                ) from None
+    final = monitor.verdict
+    witness = monitor.witness
     if args.json:
         print(json.dumps({
             "command": "check-trace",
             "mode": mode.value,
-            "events": len(trace),
+            "events": len(verdicts),
             "verdict": final.value,
-            "witness": monitor.witness.to_dict() if monitor.witness else None,
+            "witness": witness.to_dict() if witness else None,
             "prefix_verdicts": [v.value for v in verdicts],
         }))
     else:
         print(final.value)
-        if monitor.witness is not None:
-            print(_witness_text(monitor.witness, trace))
+        if witness is not None:
+            records = monitor.first_occurrences([witness.index_a, witness.index_b])
+            print(_witness_text(witness, records))
     return _EXIT_BY_VERDICT[final]
 
 
@@ -178,7 +195,9 @@ def cmd_test(args) -> int:
         print(report.verdict.value)
         print(f"steps: {report.steps} of {domain.size}")
         if report.witness is not None:
-            print(_witness_text(report.witness, report.trace))
+            w = report.witness
+            events = (report.trace[w.index_a], report.trace[w.index_b])
+            print(_witness_text(w, [(e.inputs, e.output) for e in events]))
     return _EXIT_BY_VERDICT[report.verdict]
 
 

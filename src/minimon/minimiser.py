@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program
 from .properties import CollisionIndex, Mode
-from .trace import Event, InputDomain, InputTuple, is_token
+from .trace import Event, InputDomain, InputTuple, file_lines, json_lines, token_array
 
 DEFAULT_SYNTH_CAP = 10**6
 
@@ -247,42 +247,27 @@ def save_minimiser(table: MinimiserTable, path: str) -> None:
 
 def load_minimiser(path: str) -> MinimiserTable:
     """Read a JSONL pre-processor table: lines {"from": [...], "to": [...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     mapping: dict[InputTuple, InputTuple] = {}
     arity: int | None = None
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-        if not isinstance(obj, dict) or set(obj) != {"from", "to"}:
-            raise ParseError('expected exactly the fields "from" and "to"', line=line_no)
-        sides = []
-        for field in ("from", "to"):
-            raw = obj[field]
-            if not isinstance(raw, list) or len(raw) == 0:
-                raise ParseError(f'"{field}" must be a non-empty array', line=line_no)
-            for c in raw:
-                if not is_token(c):
-                    raise ParseError(f'invalid token in "{field}": {c!r}', line=line_no)
-            sides.append(tuple(raw))
-        src, dst = sides
-        if arity is None:
-            arity = len(src)
-        if len(src) != arity or len(dst) != arity:
-            raise ParseError(
-                f"arities {len(src)}/{len(dst)} differ from earlier arity {arity}",
-                line=line_no,
-            )
-        prior = mapping.get(src)
-        if prior is not None and prior != dst:
-            raise ParseError(
-                f"duplicate entry for {list(src)} with a different target", line=line_no
-            )
-        mapping[src] = dst
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, obj in json_lines(file_lines(fh)):
+            if not isinstance(obj, dict) or set(obj) != {"from", "to"}:
+                raise ParseError('expected exactly the fields "from" and "to"', line=line_no)
+            src = token_array(obj, "from", line_no)
+            dst = token_array(obj, "to", line_no)
+            if arity is None:
+                arity = len(src)
+            if len(src) != arity or len(dst) != arity:
+                raise ParseError(
+                    f"arities {len(src)}/{len(dst)} differ from earlier arity {arity}",
+                    line=line_no,
+                )
+            prior = mapping.get(src)
+            if prior is not None and prior != dst:
+                raise ParseError(
+                    f"duplicate entry for {list(src)} with a different target", line=line_no
+                )
+            mapping[src] = dst
     if arity is None:
         raise ParseError("minimiser table file has no entries")
     return MinimiserTable(mapping, arity)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import DeterminismViolation, InputOutsideDomain
 from .properties import CollisionIndex, Mode, Witness
@@ -76,34 +77,39 @@ class Monitor:
 
     def step(self, event: Event) -> Verdict:
         """Consume one event and return the verdict for the trace so far."""
+        return self.step_io(event.inputs, event.output)
+
+    def step_io(self, inputs: InputTuple, output: str) -> Verdict:
+        """step() for one (inputs, output) observation whose tokens the
+        caller has already checked, as iter_io_lines and Event do."""
         pos = self._events_seen
         if self._arity is None:
-            self._arity = event.arity
-        elif event.arity != self._arity:
+            self._arity = len(inputs)
+        elif len(inputs) != self._arity:
             raise ValueError(
-                f"event has arity {event.arity}, monitor expects {self._arity}"
+                f"event has arity {len(inputs)}, monitor expects {self._arity}"
             )
         domain = self.config.domain
-        if domain is not None and not domain.contains(event.inputs):
+        if domain is not None and not domain.contains(inputs):
             raise InputOutsideDomain(
-                f"input {event.inputs} at position {pos} is outside the declared domain",
+                f"input {inputs} at position {pos} is outside the declared domain",
                 position=pos,
             )
-        prior = self._seen_inputs.get(event.inputs)
-        if prior is not None and prior[0] != event.output:
+        prior = self._seen_inputs.get(inputs)
+        if prior is not None and prior[0] != output:
             raise DeterminismViolation(
-                f"input {event.inputs} produced {event.output!r} at position {pos} "
+                f"input {inputs} produced {output!r} at position {pos} "
                 f"but {prior[0]!r} at position {prior[1]}",
                 index=prior[1],
             )
         if prior is None:
-            self._seen_inputs[event.inputs] = (event.output, pos)
+            self._seen_inputs[inputs] = (output, pos)
         self._events_seen = pos + 1
 
         if self._verdict.conclusive:
             return self._verdict
 
-        hit = self._index.add(event.inputs, event.output, pos) if prior is None else None
+        hit = self._index.add(inputs, output, pos) if prior is None else None
         if hit is not None:
             self._verdict = Verdict.FALSE
             self._witness = Witness(self.config.mode, hit[0], pos, hit[1])
@@ -114,6 +120,18 @@ class Monitor:
         ):
             self._verdict = Verdict.TRUE
         return self._verdict
+
+    def first_occurrences(self, positions: Sequence[int]) -> list[tuple[InputTuple, str]]:
+        """(inputs, output) of the events at `positions`, in order. Each must
+        be the first occurrence of its input, as both witness positions and a
+        DeterminismViolation's `index` are; the monitor keeps no other event."""
+        wanted = set(positions)
+        found = {
+            pos: (inputs, output)
+            for inputs, (output, pos) in self._seen_inputs.items()
+            if pos in wanted
+        }
+        return [found[pos] for pos in positions]
 
 
 def monitor_eval(config: MonitorConfig, trace: Trace) -> tuple[Verdict, Witness | None]:

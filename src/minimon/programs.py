@@ -24,7 +24,7 @@ from .errors import (
     ProgramFailure,
     UnknownBuiltin,
 )
-from .trace import _INT_RE, Event, InputDomain, InputTuple, check_input_tuple, is_token, iter_io_lines
+from .trace import _INT_RE, Event, InputDomain, InputTuple, check_input_tuple, file_lines, is_token, iter_io_lines
 
 
 class Program:
@@ -180,29 +180,20 @@ class TableProgram(Program):
 
     @classmethod
     def load(cls, path: str, cache: bool = True) -> TableProgram:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         mapping: dict[InputTuple, str] = {}
         first_line: dict[InputTuple, int] = {}
-        arity: int | None = None
-        for line_no, inputs, output in iter_io_lines(text):
-            if arity is None:
-                arity = len(inputs)
-            elif len(inputs) != arity:
-                raise ParseError(
-                    f"arity {len(inputs)} differs from earlier arity {arity}",
-                    line=line_no,
-                )
-            prior = mapping.get(inputs)
-            if prior is not None and prior != output:
-                raise DeterminismViolation(
-                    f"line {line_no}: duplicate input {list(inputs)} with output "
-                    f"{output!r}, conflicting with line {first_line[inputs]}",
-                    line=line_no,
-                )
-            if prior is None:
-                mapping[inputs] = output
-                first_line[inputs] = line_no
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, inputs, output in iter_io_lines(file_lines(fh)):
+                prior = mapping.get(inputs)
+                if prior is not None and prior != output:
+                    raise DeterminismViolation(
+                        f"line {line_no}: duplicate input {list(inputs)} with output "
+                        f"{output!r}, conflicting with line {first_line[inputs]}",
+                        line=line_no,
+                    )
+                if prior is None:
+                    mapping[inputs] = output
+                    first_line[inputs] = line_no
         if not mapping:
             raise ParseError("table file has no rows")
         return cls(mapping, name=path, cache=cache)
@@ -278,8 +269,12 @@ class CommandProgram(Program):
         # sentinel or stderr lines where the next child's replies are read.
         self._lines: queue.Queue[bytes | None] = queue.Queue()
         self._stderr_tail: collections.deque[bytes] = collections.deque(maxlen=50)
-        threading.Thread(target=_read_stdout, args=(self._proc, self._lines), daemon=True).start()
-        threading.Thread(target=_read_stderr, args=(self._proc, self._stderr_tail), daemon=True).start()
+        self._readers = (
+            threading.Thread(target=_read_stdout, args=(self._proc, self._lines), daemon=True),
+            threading.Thread(target=_read_stderr, args=(self._proc, self._stderr_tail), daemon=True),
+        )
+        for reader in self._readers:
+            reader.start()
 
     def _stderr_excerpt(self) -> str:
         return b"".join(self._stderr_tail).decode("utf-8", errors="replace")
@@ -306,6 +301,17 @@ class CommandProgram(Program):
             )
         return token
 
+    def _unsolicited_line(self) -> bytes | None:
+        """A line that is queued before a request is written, so no request
+        asked for it. An EOF marker stays queued for the reply read."""
+        try:
+            raw = self._lines.get_nowait()
+        except queue.Empty:
+            return None
+        if raw is None:
+            self._lines.put(None)
+        return raw
+
     def _call(self, inputs: InputTuple) -> str:
         if self.session:
             return self._call_session(inputs)
@@ -321,6 +327,15 @@ class CommandProgram(Program):
                 f"{self.name!r}: process exited with code {proc.returncode}",
                 stderr=self._stderr_excerpt(),
             )
+        # One reply line per request: a line that came unasked would be read
+        # as the reply to this request and shift every later output by one.
+        stray = self._unsolicited_line()
+        if stray is not None:
+            self._shutdown()
+            raise ProgramFailure(
+                f"{self.name!r}: unsolicited output line {stray!r}",
+                stderr=self._stderr_excerpt(),
+            )
         try:
             assert proc.stdin is not None
             proc.stdin.write(self._request_line(inputs))
@@ -333,7 +348,7 @@ class CommandProgram(Program):
         try:
             raw = self._lines.get(timeout=self.timeout)
         except queue.Empty:
-            self.close()
+            self._shutdown()
             raise ProgramFailure(
                 f"{self.name!r}: timed out after {self.timeout}s waiting for a reply",
                 stderr=self._stderr_excerpt(),
@@ -342,7 +357,7 @@ class CommandProgram(Program):
             try:
                 code = proc.wait(timeout=self.timeout)
             except subprocess.TimeoutExpired:
-                self.close()
+                self._shutdown()
                 code = proc.returncode
             raise ProgramFailure(
                 f"{self.name!r}: process exited with code {code} before replying",
@@ -378,9 +393,21 @@ class CommandProgram(Program):
         return self._parse_reply(done.stdout)
 
     def close(self) -> None:
+        """Stop the child. ProgramFailure if it sent a line that no request
+        asked for."""
+        leftover = self._shutdown()
+        if leftover:
+            raise ProgramFailure(
+                f"{self.name!r}: unsolicited output line {leftover[0]!r} left over at close",
+                stderr=self._stderr_excerpt(),
+            )
+
+    def _shutdown(self) -> list[bytes]:
+        """Stop the child and close its pipes; return the lines it sent that
+        no reply read took."""
         proc = self._proc
         if proc is None:
-            return
+            return []
         self._proc = None
         try:
             if proc.stdin is not None:
@@ -394,3 +421,17 @@ class CommandProgram(Program):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+        # A reader ends at EOF, which a grandchild still holding the pipe can
+        # delay; its pipe is closed only once the reader is done with it.
+        for reader, pipe in zip(self._readers, (proc.stdout, proc.stderr)):
+            reader.join(timeout=2)
+            if not reader.is_alive():
+                pipe.close()
+        leftover = []
+        while True:
+            try:
+                raw = self._lines.get_nowait()
+            except queue.Empty:
+                return leftover
+            if raw is not None:
+                leftover.append(raw)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import DeterminismViolation, ParseError
 
@@ -23,11 +24,8 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 def is_token(value: object) -> bool:
     """True iff `value` is a legal value token: non-empty text, no whitespace."""
-    return (
-        isinstance(value, str)
-        and len(value) > 0
-        and not any(ch.isspace() for ch in value)
-    )
+    # str.split() breaks at exactly the characters str.isspace() accepts.
+    return isinstance(value, str) and value != "" and value.split() == [value]
 
 
 def check_token(value: object) -> str:
@@ -101,6 +99,19 @@ class Trace:
         self._events = evs
         self._arity = arity
         self._first_seen = first_seen
+
+    @classmethod
+    def _from_checked(
+        cls, events: tuple[Event, ...], first_seen: dict[InputTuple, tuple[str, int]]
+    ) -> Trace:
+        """A trace over events already known to share one arity and to be
+        deterministic; `first_seen` maps each input to (output, first
+        position). Skips the scan that __init__ makes."""
+        trace = object.__new__(cls)
+        trace._events = events
+        trace._arity = events[0].arity if events else None
+        trace._first_seen = first_seen
+        return trace
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -257,39 +268,111 @@ def load_domain(path: str) -> InputDomain:
     return InputDomain.from_dict(obj)
 
 
-def _parse_record(obj: object, line_no: int, *, input_key: str, output_key: str) -> tuple[InputTuple, str]:
-    """Shared JSONL record shape check for trace and table files."""
-    if not isinstance(obj, dict):
-        raise ParseError("expected a JSON object", line=line_no)
-    if set(obj) != {input_key, output_key}:
-        raise ParseError(
-            f'expected exactly the fields "{input_key}" and "{output_key}", '
-            f"got {sorted(obj)}",
-            line=line_no,
-        )
-    raw_in = obj[input_key]
-    if not isinstance(raw_in, list) or len(raw_in) == 0:
-        raise ParseError(f'"{input_key}" must be a non-empty array', line=line_no)
-    for c in raw_in:
-        if not is_token(c):
-            raise ParseError(f'invalid token in "{input_key}": {c!r}', line=line_no)
-    raw_out = obj[output_key]
-    if not is_token(raw_out):
-        raise ParseError(f'invalid "{output_key}" token: {raw_out!r}', line=line_no)
-    return tuple(raw_in), raw_out
+def file_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of a file opened as UTF-8 text, streamed. Invalid UTF-8
+    raises the error a whole-file read raises, whose byte position counts
+    from the start of the file, not from the chunk the stream was decoding."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        if fh.seekable():
+            fh.seek(0)
+            fh.read()
+        raise
 
 
-def iter_io_lines(text: str, *, input_key: str = "in", output_key: str = "out") -> Iterator[tuple[int, InputTuple, str]]:
-    """Yield (line_number, inputs, output) for each JSONL record; blank lines
-    are skipped."""
-    for line_no, line in enumerate(text.split("\n"), start=1):
+def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """Yield (line_number, decoded value) for each non-blank JSONL line of
+    `lines`, any iterable of lines (a file's through file_lines)."""
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-        yield (line_no, *_parse_record(obj, line_no, input_key=input_key, output_key=output_key))
+        yield line_no, obj
+
+
+def token_array(obj: dict, key: str, line_no: int) -> InputTuple:
+    """The field `key` of a decoded record as a tuple of value tokens."""
+    raw = obj[key]
+    if not isinstance(raw, list) or len(raw) == 0:
+        raise ParseError(f'"{key}" must be a non-empty array', line=line_no)
+    for c in raw:
+        if not is_token(c):
+            raise ParseError(f'invalid token in "{key}": {c!r}', line=line_no)
+    return tuple(raw)
+
+
+def iter_io_lines(
+    lines: Iterable[str], *, input_key: str = "in", output_key: str = "out"
+) -> Iterator[tuple[int, InputTuple, str]]:
+    """Yield (line_number, inputs, output) for each JSONL record of `lines`
+    (see json_lines) in trace and table files.
+
+    Each record's shape and tokens are checked here, once, and every record
+    must have the arity of the first; ParseError names the offending line.
+    """
+    arity: int | None = None
+    for line_no, obj in json_lines(lines):
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line=line_no)
+        if len(obj) != 2 or input_key not in obj or output_key not in obj:
+            raise ParseError(
+                f'expected exactly the fields "{input_key}" and "{output_key}", '
+                f"got {sorted(obj)}",
+                line=line_no,
+            )
+        inputs = token_array(obj, input_key, line_no)
+        output = obj[output_key]
+        if not is_token(output):
+            raise ParseError(f'invalid "{output_key}" token: {output!r}', line=line_no)
+        if arity is None:
+            arity = len(inputs)
+        elif len(inputs) != arity:
+            raise ParseError(
+                f"arity {len(inputs)} differs from earlier arity {arity}",
+                line=line_no,
+            )
+        yield line_no, inputs, output
+
+
+def line_conflict(
+    line_no: int, inputs: InputTuple, output: str, prior_output: str, prior_index: int, prior_line: int
+) -> DeterminismViolation:
+    """The error for a trace line whose input had another output at position
+    `prior_index`, on line `prior_line`."""
+    return DeterminismViolation(
+        f"line {line_no}: input {list(inputs)} produced {output!r} "
+        f"but {prior_output!r} on line {prior_line}",
+        index=prior_index,
+        line=line_no,
+    )
+
+
+def _checked_event(inputs: InputTuple, output: str) -> Event:
+    """An Event from a record iter_io_lines has already checked."""
+    event = object.__new__(Event)
+    object.__setattr__(event, "inputs", inputs)
+    object.__setattr__(event, "output", output)
+    return event
+
+
+def _read_trace(lines: Iterable[str]) -> Trace:
+    events: list[Event] = []
+    first_seen: dict[InputTuple, tuple[str, int]] = {}
+    line_of = array("q")  # position -> file line
+    for line_no, inputs, output in iter_io_lines(lines):
+        pos = len(events)
+        prior = first_seen.get(inputs)
+        if prior is None:
+            first_seen[inputs] = (output, pos)
+        elif prior[0] != output:
+            raise line_conflict(line_no, inputs, output, prior[0], prior[1], line_of[prior[1]])
+        line_of.append(line_no)
+        events.append(_checked_event(inputs, output))
+    return Trace._from_checked(tuple(events), first_seen)
 
 
 def parse_trace(text: str) -> Trace:
@@ -298,34 +381,12 @@ def parse_trace(text: str) -> Trace:
     Raises ParseError with the offending line number, or DeterminismViolation
     when two lines give the same input different outputs.
     """
-    events: list[Event] = []
-    arity: int | None = None
-    first_seen: dict[InputTuple, tuple[str, int, int]] = {}
-    for line_no, inputs, output in iter_io_lines(text):
-        if arity is None:
-            arity = len(inputs)
-        elif len(inputs) != arity:
-            raise ParseError(
-                f"arity {len(inputs)} differs from earlier arity {arity}",
-                line=line_no,
-            )
-        prior = first_seen.get(inputs)
-        if prior is not None and prior[0] != output:
-            raise DeterminismViolation(
-                f"line {line_no}: input {list(inputs)} produced {output!r} "
-                f"but {prior[0]!r} on line {prior[2]}",
-                index=prior[1],
-                line=line_no,
-            )
-        if prior is None:
-            first_seen[inputs] = (output, len(events), line_no)
-        events.append(Event(inputs, output))
-    return Trace(events)
+    return _read_trace(text.split("\n"))
 
 
 def load_trace(path: str) -> Trace:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+        return _read_trace(file_lines(fh))
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -341,20 +402,8 @@ def parse_input_lines(text: str) -> list[InputTuple]:
     """Parse an inputs file: JSONL with an "in" array per line; an extra "out"
     field is tolerated so recorded traces replay as input streams."""
     inputs: list[InputTuple] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+    for line_no, obj in json_lines(text.split("\n")):
         if not isinstance(obj, dict) or "in" not in obj or not set(obj) <= {"in", "out"}:
             raise ParseError('expected an object with an "in" array', line=line_no)
-        raw = obj["in"]
-        if not isinstance(raw, list) or len(raw) == 0:
-            raise ParseError('"in" must be a non-empty array', line=line_no)
-        for c in raw:
-            if not is_token(c):
-                raise ParseError(f'invalid token in "in": {c!r}', line=line_no)
-        inputs.append(tuple(raw))
+        inputs.append(token_array(obj, "in", line_no))
     return inputs

@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import itertools
 import json
+import os
+import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from minimon import load_minimiser
+from minimon import (
+    InputDomain,
+    MinimonError,
+    MonitorConfig,
+    load_minimiser,
+    monitor_eval,
+    parse_trace,
+    prefix_verdicts,
+)
+from minimon.cli import _MODES, cmd_check_trace, main
 
 TABLE1_TRACE = (
     '{"in":["5000"],"out":"true"}\n'
@@ -126,6 +143,136 @@ class TestCheckTrace:
         assert result.returncode == 3
         assert "error:" in result.stderr
         assert "line 2" in result.stderr
+
+
+    def test_conflict_names_both_lines(self, files):
+        trace = files(
+            "conflict.jsonl",
+            '{"in":["1"],"out":"a"}\n\n{"in":["2"],"out":"a"}\n{"in":["1"],"out":"b"}\n',
+        )
+        result = run_cli("check-trace", "--trace", trace, "--mode", "mono")
+        assert result.returncode == 3
+        assert result.stderr == (
+            "error: line 4: input ['1'] produced 'b' but 'a' on line 1\n"
+        )
+
+
+_FAULTS = (None, "conflict", "arity", "token", "json", "outside", "domain-arity")
+
+
+def _faulty_trace(rnd: random.Random, fault: str | None, with_domain: bool):
+    """JSONL text with repeats and blank lines, at most one fault, and the
+    domain object that goes with it (None without a domain)."""
+    arity = rnd.randint(1, 3)
+    values = [str(v) for v in range(rnd.randint(1, 3))]
+    pool = list(itertools.product(values, repeat=arity))
+    fn = {i: rnd.choice("xyz") for i in pool}
+    records = [{"in": list(i), "out": fn[i]} for i in
+               (rnd.choice(pool) for _ in range(rnd.randint(0, 12)))]
+    at = rnd.randint(0, len(records))
+    if fault == "conflict" and at > 0:
+        prior = rnd.choice(records[:at])
+        records.insert(at, {"in": prior["in"], "out": prior["out"] + "2"})
+    elif fault == "arity" and (at > 0 or not with_domain):
+        # (first, it would clash with the domain's arity too: two faults)
+        records.insert(at, {"in": list(pool[0]) + ["0"], "out": "x"})
+    elif fault == "token":
+        records.insert(at, rnd.choice([{"in": ["a b"] * arity, "out": "x"},
+                                       {"in": list(pool[0]), "out": ""}]))
+    elif fault == "json":
+        records.insert(at, "not json")
+    elif fault == "outside":
+        records.insert(at, {"in": ["w"] * arity, "out": "w"})
+    lines = [r if isinstance(r, str) else json.dumps(r) for r in records]
+    for _ in range(rnd.randint(0, 3)):
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(["", "  "]))
+    text = "\n".join(lines) + rnd.choice(["", "\n"])
+    domain = None
+    if with_domain:
+        extra = 1 if fault == "domain-arity" else 0
+        domain = {"sources": [{"set": values}] * (arity + extra)}
+    return text, domain
+
+
+def _parse_then_monitor(text, domain, mode, as_json):
+    """check-trace's output and exit code (or its error) from parsing the
+    whole file first and then monitoring the Trace: the reference that the
+    streamed command must match."""
+    config = MonitorConfig(mode, domain and InputDomain.from_dict(domain))
+    try:
+        trace = parse_trace(text)
+        verdicts = prefix_verdicts(config, trace)
+        verdict, witness = monitor_eval(config, trace)
+    except (MinimonError, ValueError) as exc:
+        return exc
+    if as_json:
+        out = json.dumps({
+            "command": "check-trace",
+            "mode": mode.value,
+            "events": len(trace),
+            "verdict": verdict.value,
+            "witness": witness.to_dict() if witness else None,
+            "prefix_verdicts": [v.value for v in verdicts],
+        }) + "\n"
+    else:
+        out = verdict.value + "\n"
+        if witness is not None:
+            a, b = trace[witness.index_a], trace[witness.index_b]
+            out += (
+                f"witness: events {witness.index_a} and {witness.index_b}, "
+                f"inputs {'/'.join(a.inputs)} and {'/'.join(b.inputs)}, "
+                f"shared output {b.output}"
+            )
+            if witness.differing_source is not None:
+                out += f", differing source {witness.differing_source}"
+            out += "\n"
+    return out, {"TRUE": 0, "FALSE": 1, "UNKNOWN": 2}[verdict.value]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["mono", "sdist"]),
+    with_domain=st.booleans(),
+    fault=st.sampled_from(_FAULTS),
+    as_json=st.booleans(),
+)
+def test_streamed_check_trace_matches_parse_then_monitor(seed, mode, with_domain, fault, as_json):
+    """With at most one fault in the file, streaming gives the same output,
+    exit code and error (class, message, line, position) as parsing the
+    whole trace first."""
+    text, domain = _faulty_trace(random.Random(seed), fault, with_domain)
+    expected = _parse_then_monitor(text, domain, _MODES[mode], as_json)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = os.path.join(tmp, "trace.jsonl")
+        with open(trace_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        domain_path = None
+        if domain is not None:
+            domain_path = os.path.join(tmp, "domain.json")
+            with open(domain_path, "w", encoding="utf-8") as fh:
+                json.dump(domain, fh)
+        args = argparse.Namespace(trace=trace_path, mode=mode, domain=domain_path, json=as_json)
+        stdout = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout):
+                got = (stdout, cmd_check_trace(args))
+        except (MinimonError, ValueError) as exc:
+            got = exc
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected)
+            assert str(got) == str(expected)
+            for attr in ("line", "index", "position"):
+                assert getattr(got, attr, None) == getattr(expected, attr, None)
+            argv = ["check-trace", "--trace", trace_path, "--mode", mode]
+            argv += ["--domain", domain_path] if domain_path else []
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv + (["--json"] if as_json else [])) == 3
+            assert stderr.getvalue() == f"error: {expected}\n"
+        else:
+            assert not isinstance(got, Exception), got
+            assert (got[0].getvalue(), got[1]) == expected
 
 
 class TestMonitor:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import sys
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -228,6 +229,16 @@ BENEFITS_SERVER = """\
 """
 
 
+# Echoes "r<input>", but answers "b" with a second, unsolicited line.
+CHATTY_ECHO = """\
+    import sys
+    for line in sys.stdin:
+        v = line.rstrip("\\n")
+        sys.stdout.write("r" + v + ("\\nextra\\n" if v == "b" else "\\n"))
+        sys.stdout.flush()
+"""
+
+
 class TestCommandProgram:
     def test_session_mode_uses_one_process(self, tmp_path):
         marker = tmp_path / "starts.txt"
@@ -319,6 +330,62 @@ class TestCommandProgram:
         with CommandProgram(argv, arity=1) as program:
             with pytest.raises(ProgramFailure, match="malformed"):
                 program.evaluate(("1",))
+
+    def test_extra_line_before_request_fails(self, tmp_path):
+        """A line the worker sends unasked is never taken as the reply to
+        the next request."""
+        argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
+        with CommandProgram(argv, arity=1) as program:
+            assert program.evaluate(("a",)) == "ra"
+            assert program.evaluate(("b",)) == "rb"
+            deadline = time.monotonic() + 5
+            while program._lines.empty() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(ProgramFailure, match="unsolicited output line b'extra"):
+                program.evaluate(("c",))
+
+    def test_extra_line_left_over_at_close_fails(self, tmp_path):
+        argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
+        program = CommandProgram(argv, arity=1)
+        assert program.evaluate(("a",)) == "ra"
+        assert program.evaluate(("b",)) == "rb"
+        with pytest.raises(ProgramFailure, match="left over at close"):
+            program.close()
+
+    def test_partial_reply_line_fails(self, tmp_path):
+        argv = _write_script(
+            tmp_path,
+            "partial.py",
+            """\
+            import sys
+            sys.stdin.readline()
+            sys.stdout.write("ra")
+            """,
+        )
+        with CommandProgram(argv, arity=1) as program:
+            with pytest.raises(ProgramFailure, match="not LF-terminated"):
+                program.evaluate(("a",))
+
+    def test_crash_mid_run_fails_every_later_call(self, tmp_path):
+        argv = _write_script(
+            tmp_path,
+            "crash_third.py",
+            """\
+            import os, sys
+            for n, line in enumerate(sys.stdin):
+                if n == 2:
+                    os._exit(4)
+                sys.stdout.write("r" + line.rstrip("\\n") + "\\n")
+                sys.stdout.flush()
+            """,
+        )
+        with CommandProgram(argv, arity=1) as program:
+            assert program.evaluate(("a",)) == "ra"
+            assert program.evaluate(("b",)) == "rb"
+            with pytest.raises(ProgramFailure, match="exited with code 4"):
+                program.evaluate(("c",))
+            with pytest.raises(ProgramFailure, match="exited with code 4"):
+                program.evaluate(("d",))
 
     def test_process_exit_reports_stderr(self, tmp_path):
         argv = _write_script(

@@ -14,10 +14,11 @@ from minimon import (
     InputDomain,
     ParseError,
     Trace,
+    load_trace,
     parse_trace,
     serialize_trace,
 )
-from minimon.trace import parse_input_lines
+from minimon.trace import is_token, parse_input_lines
 
 from helpers import mono, table1_events
 
@@ -31,6 +32,14 @@ class TestTokens:
     def test_whitespace_rejected(self, bad):
         with pytest.raises(ValueError):
             Event((bad,), "true")
+
+    def test_is_token_agrees_with_isspace_on_every_code_point(self):
+        mismatches = [
+            cp for cp in range(0x110000)
+            if is_token(chr(cp)) is chr(cp).isspace()
+            or is_token(f"a{chr(cp)}b") is chr(cp).isspace()
+        ]
+        assert mismatches == []
 
     def test_inputs_must_be_nonempty_tuple(self):
         with pytest.raises(ValueError):
@@ -112,6 +121,24 @@ def test_append_agrees_with_constructor(events):
             Trace(events)
         return
     assert trace == Trace(events)
+
+
+@given(events_strategy)
+def test_parsed_trace_equals_constructed_trace(events):
+    """parse_trace builds its Trace without Trace()'s scan; the result must
+    be the trace Trace() builds, down to the first-occurrence record."""
+    try:
+        built = Trace(events)
+    except DeterminismViolation as exc:
+        text = "".join(f'{{"in":["{e.inputs[0]}"],"out":"{e.output}"}}\n' for e in events)
+        with pytest.raises(DeterminismViolation) as parsed_exc:
+            parse_trace(text)
+        assert parsed_exc.value.index == exc.index
+        return
+    parsed = parse_trace(serialize_trace(built))
+    assert parsed == built
+    assert parsed.arity == built.arity
+    assert parsed._first_seen == built._first_seen
 
 
 class TestDomain:
@@ -216,6 +243,16 @@ class TestTraceFiles:
         with pytest.raises(ParseError) as exc:
             parse_trace(text)
         assert exc.value.line == 2
+
+    def test_invalid_utf8_position_counts_from_file_start(self, tmp_path):
+        """The file is decoded in chunks as it streams; the error still
+        gives the bad byte's offset in the whole file."""
+        good = "".join(f'{{"in":["{i}"],"out":"{i}"}}\n' for i in range(1000)).encode()
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(good + b'{"in":["\xff"],"out":"a"}\n')
+        with pytest.raises(UnicodeDecodeError) as exc:
+            load_trace(str(path))
+        assert exc.value.start == len(good) + len(b'{"in":["')
 
     def test_blank_lines_skipped(self):
         t = parse_trace('\n{"in":["1"],"out":"a"}\n\n')
