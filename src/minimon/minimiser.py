@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
-from .programs import Program
+from .programs import Program, stream
 from .properties import CollisionIndex, Mode
-from .trace import Event, InputDomain, InputTuple, file_lines, json_lines, token_array
+from .trace import Event, InputDomain, InputTuple, _checked_event, file_lines, json_lines, token_array
 
 DEFAULT_SYNTH_CAP = 10**6
 
@@ -96,10 +96,10 @@ def synthesize(
         raise BudgetExceeded(
             f"domain has {domain.size} elements, synthesis cap is {cap}"
         )
-    visitation = domain.enumerate() if order is None else order
+    visitation = list(domain.enumerate() if order is None else order)
     classes: dict[str, list[InputTuple]] = {}
-    for inputs in visitation:
-        classes.setdefault(program.evaluate(inputs), []).append(inputs)
+    for inputs, out in zip(visitation, stream(program, "evaluate", visitation)):
+        classes.setdefault(out, []).append(inputs)
     total = sum(len(c) for c in classes.values())
     if total != domain.size:
         raise ValueError(
@@ -229,7 +229,16 @@ class ComposedProgram(Program):
 
     def observe(self, inputs: InputTuple) -> Event:
         pre_processed = self.table.apply(inputs)
-        return Event(pre_processed, self.program.evaluate(pre_processed))
+        return _checked_event(pre_processed, self.program.evaluate(pre_processed))
+
+    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
+        """The inner program's stream over the pre-processed inputs."""
+        return self.program.evaluate_all(map(self.table.apply, order))
+
+    def observe_all(self, order: Sequence[InputTuple]) -> Iterator[Event]:
+        if not isinstance(order, Sequence):
+            order = tuple(order)
+        return map(_checked_event, map(self.table.apply, order), self.evaluate_all(order))
 
     def close(self) -> None:
         self.program.close()

@@ -121,6 +121,12 @@ class Monitor:
             self._verdict = Verdict.TRUE
         return self._verdict
 
+    def trace_of(self, events: Sequence[Event]) -> Trace:
+        """The Trace of `events`, which must be exactly the events stepped so
+        far, built from this monitor's first-occurrence record instead of a
+        second scan."""
+        return Trace._from_checked(tuple(events), dict(self._seen_inputs))
+
     def first_occurrences(self, positions: Sequence[int]) -> list[tuple[InputTuple, str]]:
         """(inputs, output) of the events at `positions`, in order. Each must
         be the first occurrence of its input, as both witness positions and a

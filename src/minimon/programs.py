@@ -15,7 +15,8 @@ import json
 import queue
 import subprocess
 import threading
-from typing import Callable
+import time
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DeterminismViolation,
@@ -24,7 +25,16 @@ from .errors import (
     ProgramFailure,
     UnknownBuiltin,
 )
-from .trace import _INT_RE, Event, InputDomain, InputTuple, check_input_tuple, file_lines, is_token, iter_io_lines
+from .trace import (
+    _INT_RE, Event, InputDomain, InputTuple, _checked_event, check_input_tuple, file_lines, is_token,
+    iter_io_lines,
+)
+
+# An exec: session stream keeps at most this many requests in flight, in at
+# most this many bytes of request text: Linux's smallest pipe capacity, so
+# writing a window never blocks on a child that stopped reading.
+_WINDOW = 64
+_WINDOW_BYTES = 4096
 
 
 class Program:
@@ -41,29 +51,49 @@ class Program:
     def evaluate(self, inputs: InputTuple) -> str:
         check_input_tuple(inputs)
         if len(inputs) != self.arity:
-            raise ValueError(
-                f"program {self.name!r} has arity {self.arity}, got {len(inputs)} coordinates"
-            )
+            raise self._arity_error(inputs)
         recorded = self._record.get(inputs)
         if recorded is not None and self.cache_enabled:
             return recorded
-        out = self._call(inputs)
+        return self._accept(inputs, self._call(inputs))
+
+    def _arity_error(self, inputs: InputTuple) -> ValueError:
+        return ValueError(
+            f"program {self.name!r} has arity {self.arity}, got {len(inputs)} coordinates"
+        )
+
+    def _accept(self, inputs: InputTuple, out: str) -> str:
+        """Check `out`, a fresh output for `inputs`, as a token and against
+        the first output recorded for `inputs`; record and return it."""
         if not is_token(out):
             raise ProgramFailure(
                 f"program {self.name!r} produced an invalid output token: {out!r}"
             )
-        if recorded is not None and out != recorded:
+        recorded = self._record.setdefault(inputs, out)
+        if out != recorded:
             raise DeterminismViolation(
                 f"program {self.name!r} returned {out!r} for {inputs} "
                 f"after previously returning {recorded!r}"
             )
-        if recorded is None:
-            self._record[inputs] = out
         return out
 
     def observe(self, inputs: InputTuple) -> Event:
         """The event a monitor attached to this program sees for `inputs`."""
-        return Event(inputs, self.evaluate(inputs))
+        return _checked_event(inputs, self.evaluate(inputs))
+
+    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
+        """evaluate() of each input of `order`, yielded in order.
+
+        A handle may send inputs ahead of the consumer. It still gives what
+        one evaluate() call per input gives, each error included, at the same
+        input; a consumer may stop at any point."""
+        return map(self.evaluate, order)
+
+    def observe_all(self, order: Sequence[InputTuple]) -> Iterator[Event]:
+        """observe() of each input of `order`, through evaluate_all()."""
+        if not isinstance(order, Sequence):
+            order = tuple(order)
+        return map(_checked_event, order, self.evaluate_all(order))
 
     def _call(self, inputs: InputTuple) -> str:
         raise NotImplementedError
@@ -79,6 +109,16 @@ class Program:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, arity={self.arity})"
+
+
+def stream(program, method: str, order: Sequence[InputTuple]) -> Iterator:
+    """`program.<method>_all(order)` for method "evaluate" or "observe". A
+    handle that has only the one-input method, such as a wrapper around a
+    Program, is called once per input."""
+    batch = getattr(program, method + "_all", None)
+    if batch is not None:
+        return batch(order)
+    return map(getattr(program, method), order)
 
 
 class BuiltinProgram(Program):
@@ -234,9 +274,12 @@ def _read_stderr(proc: subprocess.Popen, tail: collections.deque) -> None:
 class CommandProgram(Program):
     """External executable driven over the tab/LF line protocol.
 
-    Session mode (default) keeps one child process and sends one request line
-    per evaluation; per-call mode spawns a fresh process per input. Replies
-    must arrive within `timeout` seconds.
+    Session mode (default) keeps one child process. evaluate() sends one
+    request line and waits for its reply; evaluate_all() keeps up to 64
+    requests in flight, written as one batch, and reads the replies in
+    order, so the child must read its requests as a stream and answer each
+    in turn. Per-call mode spawns a fresh process per input. Replies must
+    arrive within `timeout` seconds.
     """
 
     def __init__(
@@ -254,6 +297,10 @@ class CommandProgram(Program):
         self.session = session
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
+        # Requests written whose replies are unread, and the stream that
+        # wrote them (None for a single evaluate()).
+        self._in_flight = 0
+        self._owner: object | None = None
 
     def _spawn(self) -> None:
         try:
@@ -302,8 +349,8 @@ class CommandProgram(Program):
         return token
 
     def _unsolicited_line(self) -> bytes | None:
-        """A line that is queued before a request is written, so no request
-        asked for it. An EOF marker stays queued for the reply read."""
+        """A line that is queued while no request is in flight, so no
+        request asked for it. An EOF marker stays queued for the reply read."""
         try:
             raw = self._lines.get_nowait()
         except queue.Empty:
@@ -314,10 +361,72 @@ class CommandProgram(Program):
 
     def _call(self, inputs: InputTuple) -> str:
         if self.session:
-            return self._call_session(inputs)
+            self._send([self._request_line(inputs)])
+            return self._receive()
         return self._call_once(inputs)
 
-    def _call_session(self, inputs: InputTuple) -> str:
+    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
+        if not self.session:
+            return super().evaluate_all(order)
+        return self._pipeline(iter(order))
+
+    def _pipeline(self, order: Iterator[InputTuple]) -> Iterator[str]:
+        """Session evaluate_all(): each window of requests goes out in one
+        write once the consumer reaches its first request, and each reply is
+        read when the consumer reaches its input.
+
+        A memo hit sends nothing, also on an input whose request is still in
+        flight. An input that fails its check, or an error raised while
+        pulling it from `order`, ends the window and is raised once the
+        inputs before it are consumed. Replies the consumer leaves unread
+        are discarded by the next request or by close()."""
+        owner = object()
+        carry: list[InputTuple] = []  # the input that overflowed the last window
+        while True:
+            window: list[tuple[InputTuple, bool]] = []  # (inputs, request sent)
+            requests: list[bytes] = []
+            asked: set[InputTuple] = set()
+            size = 0
+            stop: Exception | None = None
+            while len(requests) < _WINDOW:
+                try:
+                    inputs = carry.pop() if carry else next(order)
+                    check_input_tuple(inputs)
+                    if len(inputs) != self.arity:
+                        raise self._arity_error(inputs)
+                except Exception as exc:  # StopIteration too: the end of `order`
+                    stop = exc
+                    break
+                if self.cache_enabled and (inputs in asked or inputs in self._record):
+                    window.append((inputs, False))
+                    continue
+                line = self._request_line(inputs)
+                if requests and size + len(line) > _WINDOW_BYTES:
+                    carry.append(inputs)
+                    break
+                asked.add(inputs)
+                requests.append(line)
+                size += len(line)
+                window.append((inputs, True))
+            for inputs, sent in window:
+                if not sent:
+                    yield self._record[inputs]
+                    continue
+                if requests:
+                    self._send(requests, owner)
+                    requests = []
+                yield self._accept(inputs, self._receive(owner))
+            if isinstance(stop, StopIteration):
+                return
+            if stop is not None:
+                raise stop
+
+    def _send(self, requests: list[bytes], owner: object | None = None) -> None:
+        """Write `requests` with one write and flush. Replies that an earlier
+        stream left unread are discarded first; a line still queued after
+        that came unasked."""
+        if self._in_flight:
+            self._discard_in_flight()
         if self._proc is None:
             self._spawn()
         proc = self._proc
@@ -338,13 +447,23 @@ class CommandProgram(Program):
             )
         try:
             assert proc.stdin is not None
-            proc.stdin.write(self._request_line(inputs))
+            proc.stdin.write(b"".join(requests))
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ProgramFailure(
                 f"{self.name!r}: cannot write request: {exc}",
                 stderr=self._stderr_excerpt(),
             ) from exc
+        self._in_flight = len(requests)
+        self._owner = owner
+
+    def _receive(self, owner: object | None = None) -> str:
+        """The reply to the oldest request in flight."""
+        if self._owner is not owner or not self._in_flight:
+            raise RuntimeError(
+                f"{self.name!r}: the replies this stream waits for were discarded "
+                "by a later request"
+            )
         try:
             raw = self._lines.get(timeout=self.timeout)
         except queue.Empty:
@@ -354,6 +473,9 @@ class CommandProgram(Program):
                 stderr=self._stderr_excerpt(),
             ) from None
         if raw is None:
+            self._in_flight = 0
+            proc = self._proc
+            assert proc is not None
             try:
                 code = proc.wait(timeout=self.timeout)
             except subprocess.TimeoutExpired:
@@ -363,7 +485,23 @@ class CommandProgram(Program):
                 f"{self.name!r}: process exited with code {code} before replying",
                 stderr=self._stderr_excerpt(),
             )
+        self._in_flight -= 1
         return self._parse_reply(raw)
+
+    def _discard_in_flight(self) -> None:
+        """Read and drop the replies still in flight, all within one timeout.
+        One request at a time would never have sent them, so a failure among
+        them is not raised: the child is shut down instead."""
+        deadline = time.monotonic() + self.timeout
+        while self._in_flight:
+            try:
+                raw = self._lines.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                raw = None
+            if raw is None:
+                self._shutdown()
+                return
+            self._in_flight -= 1
 
     def _call_once(self, inputs: InputTuple) -> str:
         try:
@@ -393,28 +531,35 @@ class CommandProgram(Program):
         return self._parse_reply(done.stdout)
 
     def close(self) -> None:
-        """Stop the child. ProgramFailure if it sent a line that no request
-        asked for."""
-        leftover = self._shutdown()
+        """Stop the child once it has answered what was sent and exited, or
+        the timeout has passed. ProgramFailure if it sent a line that no
+        request asked for."""
+        if self._in_flight:
+            self._discard_in_flight()
+        leftover = self._shutdown(grace=self.timeout)
         if leftover:
             raise ProgramFailure(
                 f"{self.name!r}: unsolicited output line {leftover[0]!r} left over at close",
                 stderr=self._stderr_excerpt(),
             )
 
-    def _shutdown(self) -> list[bytes]:
-        """Stop the child and close its pipes; return the lines it sent that
-        no reply read took."""
+    def _shutdown(self, grace: float = 0.0) -> list[bytes]:
+        """Close the child's stdin, give it `grace` seconds to exit, stop it
+        and close its pipes; return the lines it sent that no reply read
+        took."""
         proc = self._proc
         if proc is None:
             return []
         self._proc = None
+        self._in_flight = 0
         try:
             if proc.stdin is not None:
                 proc.stdin.close()
         except OSError:
             pass
-        if proc.poll() is None:
+        try:
+            proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
             proc.terminate()
             try:
                 proc.wait(timeout=2)

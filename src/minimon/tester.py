@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DomainMismatch
 from .monitor import Monitor, MonitorConfig, Verdict
+from .programs import stream
 from .properties import Mode, Witness, least_collision
-from .trace import InputDomain, InputTuple, Trace
+from .trace import Event, InputDomain, InputTuple, Trace
 
 RANDOM_PERMUTATION = "random-permutation"
 LEXICOGRAPHIC = "lexicographic"
@@ -50,8 +51,8 @@ def build_table(program, domain: InputDomain) -> FunctionTable:
         raise ValueError(
             f"program arity {program.arity} does not match domain arity {domain.arity}"
         )
-    outputs = {inputs: program.evaluate(inputs) for inputs in domain.enumerate()}
-    return FunctionTable(domain, outputs)
+    order = list(domain.enumerate())
+    return FunctionTable(domain, dict(zip(order, stream(program, "evaluate", order))))
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,8 @@ def run_test(
     compositions the declared domain must be the pre-processor's range;
     otherwise observed inputs repeat, the domain runs out inconclusively, and
     DomainMismatch is raised (same for a size-1 domain, which can never reach
-    the two-event minimum for a conclusive verdict).
+    the two-event minimum for a conclusive verdict). A domain larger than
+    the budget (default 10^7, env-overridable) is refused before any probe.
     """
     if strategy not in (RANDOM_PERMUTATION, LEXICOGRAPHIC):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -177,13 +179,17 @@ def run_test(
         raise ValueError(
             f"program arity {program.arity} does not match domain arity {domain.arity}"
         )
+    budget = default_budget()
+    if domain.size > budget:
+        raise BudgetExceeded(
+            f"test needs up to {domain.size} probes, budget is {budget}"
+        )
     order = list(domain.enumerate())
     if strategy == RANDOM_PERMUTATION:
         random.Random(seed).shuffle(order)
     monitor = Monitor(MonitorConfig(mode, domain))
-    events = []
-    for inputs in order:
-        event = program.observe(inputs)
+    events: list[Event] = []
+    for event in stream(program, "observe", order):
         verdict = monitor.step(event)
         events.append(event)
         if verdict.conclusive:
@@ -191,7 +197,7 @@ def run_test(
                 verdict,
                 monitor.witness,
                 len(events),
-                Trace(events),
+                monitor.trace_of(events),
                 strategy,
                 seed if strategy == RANDOM_PERMUTATION else None,
             )

@@ -38,8 +38,9 @@ def check_input_tuple(coords: object) -> InputTuple:
     """Validate an input event: a non-empty tuple of value tokens."""
     if not isinstance(coords, tuple) or len(coords) == 0:
         raise ValueError(f"input event must be a non-empty tuple, got {coords!r}")
-    for c in coords:
-        check_token(c)
+    if not all(map(is_token, coords)):
+        for c in coords:
+            check_token(c)
     return coords
 
 
@@ -205,7 +206,7 @@ class InputDomain:
 
     def contains(self, inputs: InputTuple) -> bool:
         return len(inputs) == len(self._sets) and all(
-            c in s for c, s in zip(inputs, self._sets)
+            map(frozenset.__contains__, self._sets, inputs)
         )
 
     def enumerate(self) -> Iterator[InputTuple]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from minimon import Event, InputDomain, Trace
 from minimon.properties import single_diff_source
@@ -106,3 +107,30 @@ def naive_sdm_witness(trace: Trace) -> tuple[int, int, int] | None:
             if j is not None:
                 return (a, b, j)
     return None
+
+
+# exec: worker that reads each request's coordinates as mixed-radix digits and
+# replies "o<value mod MODULUS>": injective while MODULUS covers the domain,
+# colliding early when it is small. With a COUNT_FILE it writes how many
+# requests it read there at EOF.
+MOD_WORKER = """\
+import sys
+modulus, radix = int(sys.argv[1]), int(sys.argv[2])
+served = 0
+for line in sys.stdin:
+    served += 1
+    value = 0
+    for digit in line.rstrip("\\n").split("\\t"):
+        value = value * radix + int(digit)
+    sys.stdout.write("o%d\\n" % (value % modulus))
+    sys.stdout.flush()
+if len(sys.argv) > 3:
+    with open(sys.argv[3], "w") as fh:
+        fh.write(str(served))
+"""
+
+
+def mod_worker(modulus: int, radix: int, count_file=None) -> list[str]:
+    """argv of MOD_WORKER; -S skips site imports for a fast start."""
+    argv = [sys.executable, "-S", "-c", MOD_WORKER, str(modulus), str(radix)]
+    return argv + [str(count_file)] if count_file is not None else argv

@@ -15,13 +15,22 @@ from minimon import (
     Event,
     InputDomain,
     InputOutsideDomain,
+    Mode,
     ParseError,
     ProgramFailure,
     TableProgram,
     UnknownBuiltin,
+    Verdict,
+    compose,
     make_builtin,
+    run_test,
+    synthesize,
 )
+from minimon import programs
 from minimon.programs import BuiltinProgram, CommandProgram, save_table
+from minimon.tester import LEXICOGRAPHIC
+
+from helpers import mod_worker
 
 BENEFITS_REFERENCE = {
     ("0",): "true",
@@ -406,3 +415,132 @@ class TestCommandProgram:
         with CommandProgram(["/no/such/binary"], arity=1) as program:
             with pytest.raises(ProgramFailure):
                 program.evaluate(("1",))
+
+
+def _pull(stream) -> tuple[list, BaseException | None]:
+    """Items a stream yields before it raises, and what it raises."""
+    got = []
+    try:
+        for item in stream:
+            got.append(item)
+    except Exception as exc:
+        return got, exc
+    return got, None
+
+
+class TestPipeline:
+    """evaluate_all()/observe_all() on an exec: session: several requests in
+    flight, everything observable as with one request at a time."""
+
+    @pytest.mark.parametrize("window", [1, 64])
+    def test_chatty_worker_under_run_test_fails(self, tmp_path, monkeypatch, window):
+        monkeypatch.setattr(programs, "_WINDOW", window)
+        argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
+        domain = InputDomain([["a", "b", "c", "d"]])
+        with pytest.raises(ProgramFailure, match="unsolicited output line"):
+            with CommandProgram(argv, arity=1) as program:
+                run_test(program, domain, Mode.MONOLITHIC, strategy=LEXICOGRAPHIC)
+
+    def test_worker_that_stops_reading_times_out(self, tmp_path):
+        """Requests far beyond any pipe capacity: the stream writes one
+        capped window, so it ends in the reply timeout, not a blocked write."""
+        argv = _write_script(
+            tmp_path,
+            "one_line.py",
+            """\
+            import os, sys, time
+            line = b""
+            while not line.endswith(b"\\n"):
+                line += os.read(0, 1)
+            sys.stdout.write("r\\n")
+            sys.stdout.flush()
+            time.sleep(30)
+            """,
+        )
+        order = [(f"{n:04d}" + "x" * 2000,) for n in range(200)]
+        result = []
+        with CommandProgram(argv, arity=1, timeout=0.5) as program:
+            start = time.monotonic()
+            worker = threading.Thread(
+                target=lambda: result.append(_pull(program.evaluate_all(order))), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=10)
+            elapsed = time.monotonic() - start
+            assert not worker.is_alive(), "the stream blocked"
+        got, error = result[0]
+        assert got == ["r"]
+        assert isinstance(error, ProgramFailure) and "timed out" in str(error)
+        assert elapsed < 0.5 + 2
+
+    def test_crash_inside_a_window(self, tmp_path):
+        argv = _write_script(
+            tmp_path,
+            "crash_third.py",
+            """\
+            import os, sys
+            for n, line in enumerate(sys.stdin):
+                if n == 2:
+                    os._exit(4)
+                sys.stdout.write("r" + line.rstrip("\\n") + "\\n")
+                sys.stdout.flush()
+            """,
+        )
+        with CommandProgram(argv, arity=1) as program:
+            got, error = _pull(program.evaluate_all([(v,) for v in "abcdef"]))
+        assert got == ["ra", "rb"]
+        assert isinstance(error, ProgramFailure) and "exited with code 4" in str(error)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("window", [1, 2, 64])
+    def test_stream_matches_single_calls(self, tmp_path, monkeypatch, window, cache):
+        """Repeats are memo hits, also while their request is in flight; a
+        bad input is raised at its position, after the outputs before it."""
+        monkeypatch.setattr(programs, "_WINDOW", window)
+        count = tmp_path / "served.txt"
+        order = [("1", "2"), ("3", "4"), ("1", "2"), ("5", "6"), ("3", "4"), ("7",), ("8", "9")]
+        with CommandProgram(mod_worker(1000, 10, count), arity=2, cache=cache) as program:
+            got, error = _pull(program.evaluate_all(order))
+        assert got == ["o12", "o34", "o12", "o56", "o34"]
+        assert isinstance(error, ValueError) and "arity 2" in str(error)
+        assert count.read_text() == ("3" if cache else "5")
+
+    def test_request_longer_than_the_byte_cap_goes_out_alone(self, tmp_path):
+        argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
+        long = "z" * (programs._WINDOW_BYTES + 10)
+        with CommandProgram(argv, arity=1) as program:
+            assert list(program.evaluate_all([("a",), (long,), ("c",)])) == ["ra", "r" + long, "rc"]
+
+    def test_replies_left_unread_are_discarded(self, tmp_path):
+        """A consumer that stops early leaves replies in flight; the next
+        request and close() read past them without error."""
+        count = tmp_path / "served.txt"
+        with CommandProgram(mod_worker(1000, 10, count), arity=1) as program:
+            stream = program.evaluate_all([(str(n),) for n in range(10)])
+            assert next(stream) == "o0"
+            assert program.evaluate(("42",)) == "o42"
+            with pytest.raises(RuntimeError, match="discarded"):
+                next(stream)
+            assert next(program.evaluate_all([("43",)])) == "o43"
+        assert count.read_text() == "12"
+
+    def test_composed_stream_matches_observe(self, tmp_path):
+        """observe_all() of a composition sees the pre-processed inputs and
+        asks the inner worker once per representative."""
+        domain = InputDomain([[str(n) for n in range(12)]])
+        table, _ = synthesize(make_builtin("loyalty"), domain)
+        count = tmp_path / "served.txt"
+        order = list(domain.enumerate())
+        with compose(CommandProgram(mod_worker(1000, 10, count), arity=1), table) as composed:
+            streamed = list(composed.observe_all(order))
+        with compose(CommandProgram(mod_worker(1000, 10), arity=1), table) as composed:
+            single = [composed.observe(i) for i in order]
+        assert streamed == single
+        assert count.read_text() == str(len(table.representatives))
+
+    def test_builtin_stream_is_the_per_input_loop(self):
+        program = make_builtin("xor")
+        order = [("0", "1"), ("1", "1"), ("1", "2")]
+        got, error = _pull(program.observe_all(order))
+        assert got == [Event(("0", "1"), "1"), Event(("1", "1"), "0")]
+        assert isinstance(error, ProgramFailure)

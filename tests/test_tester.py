@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimon import (
     BudgetExceeded,
@@ -12,6 +14,7 @@ from minimon import (
     InputDomain,
     Mode,
     TableProgram,
+    Trace,
     Verdict,
     build_table,
     make_builtin,
@@ -21,7 +24,9 @@ from minimon import (
     table_mono_minimal,
     table_strong_dist_minimal,
 )
+from minimon import programs
 from minimon.minimiser import compose
+from minimon.programs import CommandProgram
 from minimon.tester import (
     LEXICOGRAPHIC,
     RANDOM_PERMUTATION,
@@ -30,7 +35,7 @@ from minimon.tester import (
     IndistinguishablePair,
 )
 
-from helpers import random_full_table
+from helpers import mod_worker, random_full_table
 
 BITS = InputDomain([["0", "1"], ["0", "1"]])
 
@@ -204,10 +209,40 @@ class TestRunTest:
         report = run_test(make_builtin("xor"), BITS, Mode.STRONG_DISTRIBUTED, seed=3)
         assert len(report.trace) == report.steps
         assert report.trace.distinct_inputs() == report.steps
+        assert report.trace == Trace(report.trace.events)
         payload = report.to_dict()
         assert payload["verdict"] == "TRUE"
         assert payload["steps"] == 4
         assert payload["seed"] == 3
+
+    def test_budget_is_checked_before_any_probe(self, monkeypatch):
+        calls = []
+
+        def spy(inputs):
+            calls.append(inputs)
+            return "".join(inputs)
+
+        program = programs.BuiltinProgram("spy", 2, spy)
+        monkeypatch.setenv("MINIMON_BUDGET", "3")
+        with pytest.raises(BudgetExceeded, match="budget is 3"):
+            run_test(program, BITS, Mode.MONOLITHIC)
+        assert calls == []
+        monkeypatch.setenv("MINIMON_BUDGET", "4")
+        assert run_test(program, BITS, Mode.MONOLITHIC).verdict is Verdict.TRUE
+
+    @pytest.mark.parametrize("mode", [Mode.MONOLITHIC, Mode.STRONG_DISTRIBUTED])
+    def test_early_false_over_exec_matches_one_request_at_a_time(self, tmp_path, mode):
+        """The monitor concludes with most of a window still in flight: the
+        report is the one-at-a-time report, and close() raises nothing."""
+        domain = InputDomain([[str(n) for n in range(10)], [str(n) for n in range(10)]])
+        reports = []
+        for window in (1, 64):
+            with mock.patch.object(programs, "_WINDOW", window):
+                with CommandProgram(mod_worker(7, 10), arity=2) as program:
+                    reports.append(run_test(program, domain, mode, seed=11))
+        one, piped = reports
+        assert piped.verdict is Verdict.FALSE and piped.steps < 20
+        assert (piped.steps, piped.witness, piped.trace) == (one.steps, one.witness, one.trace)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -225,3 +260,44 @@ class TestRunTest:
         composed = compose(program, table)
         with pytest.raises(DomainMismatch):
             run_test(composed, domain, Mode.MONOLITHIC)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    modulus=st.integers(1, 40),
+    mode=st.sampled_from([Mode.MONOLITHIC, Mode.STRONG_DISTRIBUTED]),
+    strategy=st.sampled_from([RANDOM_PERMUTATION, LEXICOGRAPHIC]),
+    seed=st.integers(0, 99),
+    rep=st.sampled_from(["least", "first", "rand:3"]),
+)
+def test_pipelined_exec_matches_one_request_at_a_time(sizes, modulus, mode, strategy, seed, rep):
+    """run_test and synthesize over an exec: worker give the same verdict,
+    witness, steps, trace and partition with 64 requests in flight as with
+    one. Small moduli collide early, so many runs end in FALSE."""
+    domain = InputDomain([[str(v) for v in range(n)] for n in sizes])
+
+    def runs():
+        with CommandProgram(mod_worker(modulus, 5), arity=domain.arity) as program:
+            report = _outcome(lambda: run_test(program, domain, mode, strategy, seed))
+        with CommandProgram(mod_worker(modulus, 5), arity=domain.arity) as program:
+            synthesis = synthesize(program, domain, rep_strategy=rep)
+        if not isinstance(report, tuple):
+            report = (report.verdict, report.witness, report.steps, report.trace)
+        return report, synthesis
+
+    outcomes = []
+    for window in (1, 64):
+        with mock.patch.object(programs, "_WINDOW", window):
+            outcomes.append(runs())
+    (report_one, (table_one, parts_one)), (report_piped, (table_piped, parts_piped)) = outcomes
+    assert report_piped == report_one
+    assert parts_piped == parts_one
+    assert table_piped.mapping == table_one.mapping
