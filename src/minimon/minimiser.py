@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program, stream
 from .properties import CollisionIndex, Mode
-from .trace import Event, InputDomain, InputTuple, _checked_event, file_lines, json_lines, token_array
+from .trace import (
+    Event, InputDomain, InputTuple, _all_tokens, _checked_event, file_lines, json_lines, token_array,
+)
 
 DEFAULT_SYNTH_CAP = 10**6
 
@@ -97,14 +99,19 @@ def synthesize(
             f"domain has {domain.size} elements, synthesis cap is {cap}"
         )
     visitation = list(domain.enumerate() if order is None else order)
+    if order is not None:
+        distinct = set(visitation)
+        if not (
+            len(visitation) == len(distinct) == domain.size
+            and all(map(domain.contains, distinct))
+        ):
+            raise ValueError(
+                f"visitation order has {len(visitation)} inputs, {len(distinct)} distinct; "
+                f"it must visit each of the domain's {domain.size} inputs exactly once"
+            )
     classes: dict[str, list[InputTuple]] = {}
     for inputs, out in zip(visitation, stream(program, "evaluate", visitation)):
         classes.setdefault(out, []).append(inputs)
-    total = sum(len(c) for c in classes.values())
-    if total != domain.size:
-        raise ValueError(
-            f"visitation order covered {total} inputs, domain has {domain.size}"
-        )
 
     if kind == "rand":
         rnd = random.Random(seed)
@@ -260,17 +267,26 @@ def load_minimiser(path: str) -> MinimiserTable:
     arity: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, obj in json_lines(file_lines(fh)):
-            if not isinstance(obj, dict) or set(obj) != {"from", "to"}:
-                raise ParseError('expected exactly the fields "from" and "to"', line=line_no)
-            src = token_array(obj, "from", line_no)
-            dst = token_array(obj, "to", line_no)
-            if arity is None:
-                arity = len(src)
-            if len(src) != arity or len(dst) != arity:
-                raise ParseError(
-                    f"arities {len(src)}/{len(dst)} differ from earlier arity {arity}",
-                    line=line_no,
-                )
+            src = dst = None
+            if type(obj) is dict and len(obj) == 2:
+                src, dst = obj.get("from"), obj.get("to")
+            if (
+                type(src) is list and type(dst) is list
+                and len(src) == arity and len(dst) == arity and _all_tokens(src + dst)
+            ):
+                src, dst = tuple(src), tuple(dst)
+            else:
+                if not isinstance(obj, dict) or set(obj) != {"from", "to"}:
+                    raise ParseError('expected exactly the fields "from" and "to"', line=line_no)
+                src = token_array(obj, "from", line_no)
+                dst = token_array(obj, "to", line_no)
+                if arity is None:
+                    arity = len(src)
+                if len(src) != arity or len(dst) != arity:
+                    raise ParseError(
+                        f"arities {len(src)}/{len(dst)} differ from earlier arity {arity}",
+                        line=line_no,
+                    )
             prior = mapping.get(src)
             if prior is not None and prior != dst:
                 raise ParseError(

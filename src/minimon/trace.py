@@ -21,11 +21,24 @@ InputTuple = tuple[str, ...]
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
+# The C scanner json.loads itself runs, without its wrapper: (value, end).
+_scan_once = json.JSONDecoder().scan_once
+
 
 def is_token(value: object) -> bool:
     """True iff `value` is a legal value token: non-empty text, no whitespace."""
     # str.split() breaks at exactly the characters str.isspace() accepts.
     return isinstance(value, str) and value != "" and value.split() == [value]
+
+
+def _all_tokens(values: list) -> bool:
+    """True iff every item of `values` is a value token, in one C-level pass:
+    the same rule as is_token, since str.split breaks at exactly the
+    characters isspace accepts. True for an empty list."""
+    try:
+        return " ".join(values).split() == values
+    except TypeError:
+        return False
 
 
 def check_token(value: object) -> str:
@@ -52,6 +65,11 @@ def _source_key(tokens: Iterable[str]):
     if all(_INT_RE.fullmatch(t) for t in toks):
         return lambda t: (int(t), t)
     return lambda t: t
+
+
+def _canonical_source(tokens: set[str]) -> tuple[str, ...]:
+    """The distinct tokens of one source in canonical order."""
+    return tuple(sorted(tokens, key=_source_key(tokens)))
 
 
 @dataclass(frozen=True)
@@ -182,9 +200,21 @@ class InputDomain:
                 raise ValueError(f"source {k} is empty")
             for t in tokens:
                 check_token(t)
-            canon.append(tuple(sorted(tokens, key=_source_key(tokens))))
+            canon.append(_canonical_source(tokens))
         if not canon:
             raise ValueError("domain needs at least one source")
+        self._adopt(canon)
+
+    @classmethod
+    def _from_canonical(cls, canon: list[tuple[str, ...]]) -> InputDomain:
+        """A domain over a non-empty list of sources each already made of
+        distinct checked tokens in _source_key order. Skips the checks and
+        the sort that __init__ makes."""
+        domain = object.__new__(cls)
+        domain._adopt(canon)
+        return domain
+
+    def _adopt(self, canon: list[tuple[str, ...]]) -> None:
         self._sources = tuple(canon)
         self._sets = tuple(frozenset(s) for s in canon)
         size = 1
@@ -231,7 +261,7 @@ class InputDomain:
         sources = obj["sources"]
         if not isinstance(sources, list) or not sources:
             raise ParseError('"sources" must be a non-empty array')
-        built: list[list[str]] = []
+        built: list[tuple[str, ...]] = []
         for k, spec in enumerate(sources):
             if not isinstance(spec, dict) or len(spec) != 1:
                 raise ParseError(f'source {k}: expected {{"set": ...}} or {{"range": ...}}')
@@ -242,7 +272,7 @@ class InputDomain:
                 for v in vals:
                     if not is_token(v):
                         raise ParseError(f"source {k}: invalid token {v!r}")
-                built.append(list(vals))
+                built.append(_canonical_source(set(vals)))
             elif "range" in spec:
                 rng = spec["range"]
                 if (
@@ -254,10 +284,11 @@ class InputDomain:
                 lo, hi = rng
                 if lo > hi:
                     raise ParseError(f"source {k}: empty range {lo}..{hi}")
-                built.append([str(i) for i in range(lo, hi + 1)])
+                # Ascending integers: distinct tokens, already in canonical order.
+                built.append(tuple(map(str, range(lo, hi + 1))))
             else:
                 raise ParseError(f'source {k}: expected "set" or "range"')
-        return cls(built)
+        return cls._from_canonical(built)
 
 
 def load_domain(path: str) -> InputDomain:
@@ -284,14 +315,25 @@ def file_lines(fh: TextIO) -> Iterator[str]:
 
 def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
     """Yield (line_number, decoded value) for each non-blank JSONL line of
-    `lines`, any iterable of lines (a file's through file_lines)."""
+    `lines`, any iterable of lines (a file's through file_lines).
+
+    A line that is exactly one JSON value, or one JSON value and a final
+    LF, is decoded by the JSON scanner alone; every other line (leading or
+    trailing whitespace, CR, blank, invalid) goes through json.loads, which
+    gives the same value or the error message."""
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+            obj, end = _scan_once(line, 0)
+            exact = end == len(line) or line[end:] == "\n"
+        except (StopIteration, ValueError):
+            exact = False
+        if not exact:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
         yield line_no, obj
 
 
@@ -314,9 +356,18 @@ def iter_io_lines(
 
     Each record's shape and tokens are checked here, once, and every record
     must have the arity of the first; ParseError names the offending line.
+    A record after the first with exactly the two fields, the earlier arity
+    and only tokens passes one fast check; any other goes through the
+    per-field checks, which build every error message.
     """
     arity: int | None = None
     for line_no, obj in json_lines(lines):
+        if type(obj) is dict and len(obj) == 2:
+            inputs = obj.get(input_key)
+            output = obj.get(output_key)
+            if type(inputs) is list and len(inputs) == arity and _all_tokens([*inputs, output]):
+                yield line_no, tuple(inputs), output
+                continue
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line=line_no)
         if len(obj) != 2 or input_key not in obj or output_key not in obj:
@@ -404,6 +455,11 @@ def parse_input_lines(text: str) -> list[InputTuple]:
     field is tolerated so recorded traces replay as input streams."""
     inputs: list[InputTuple] = []
     for line_no, obj in json_lines(text.split("\n")):
+        if type(obj) is dict and (len(obj) == 1 or len(obj) == 2 and "out" in obj):
+            raw = obj.get("in")
+            if type(raw) is list and raw and _all_tokens(raw):
+                inputs.append(tuple(raw))
+                continue
         if not isinstance(obj, dict) or "in" not in obj or not set(obj) <= {"in", "out"}:
             raise ParseError('expected an object with an "in" array', line=line_no)
         inputs.append(token_array(obj, "in", line_no))

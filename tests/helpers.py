@@ -1,14 +1,16 @@
 """Shared test utilities: fixed example traces, random generators backed by an
-underlying function (so generated traces are always deterministic), and naive
-quadratic oracles the fast implementations are checked against."""
+underlying function (so generated traces are always deterministic), naive
+quadratic oracles the fast implementations are checked against, and
+reference JSONL readers."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sys
 
-from minimon import Event, InputDomain, Trace
+from minimon import DeterminismViolation, Event, InputDomain, ParseError, Trace
 from minimon.properties import single_diff_source
 
 
@@ -134,3 +136,102 @@ def mod_worker(modulus: int, radix: int, count_file=None) -> list[str]:
     """argv of MOD_WORKER; -S skips site imports for a fast start."""
     argv = [sys.executable, "-S", "-c", MOD_WORKER, str(modulus), str(radix)]
     return argv + [str(count_file)] if count_file is not None else argv
+
+
+# Reference JSONL readers: one json.loads and per-field checks for each line,
+# with a per-character token test. The fast readers must accept the same
+# records and raise the same errors (class, message, line) at the same line.
+
+
+def ref_is_token(value: object) -> bool:
+    return isinstance(value, str) and value != "" and not any(ch.isspace() for ch in value)
+
+
+def ref_json_lines(lines):
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+        yield line_no, obj
+
+
+def ref_token_array(obj: dict, key: str, line_no: int) -> tuple[str, ...]:
+    raw = obj[key]
+    if not isinstance(raw, list) or len(raw) == 0:
+        raise ParseError(f'"{key}" must be a non-empty array', line=line_no)
+    for c in raw:
+        if not ref_is_token(c):
+            raise ParseError(f'invalid token in "{key}": {c!r}', line=line_no)
+    return tuple(raw)
+
+
+def ref_io_records(lines):
+    """(line_number, inputs, output) per record of a trace or table file."""
+    arity = None
+    for line_no, obj in ref_json_lines(lines):
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line=line_no)
+        if len(obj) != 2 or "in" not in obj or "out" not in obj:
+            raise ParseError(
+                f'expected exactly the fields "in" and "out", got {sorted(obj)}', line=line_no
+            )
+        inputs = ref_token_array(obj, "in", line_no)
+        output = obj["out"]
+        if not ref_is_token(output):
+            raise ParseError(f'invalid "out" token: {output!r}', line=line_no)
+        if arity is None:
+            arity = len(inputs)
+        elif len(inputs) != arity:
+            raise ParseError(f"arity {len(inputs)} differs from earlier arity {arity}", line=line_no)
+        yield line_no, inputs, output
+
+
+def ref_parse_trace(lines) -> Trace:
+    """A trace from the records, or the first parse or determinism fault."""
+    first: dict[tuple[str, ...], tuple[str, int, int]] = {}
+    events = []
+    for line_no, inputs, output in ref_io_records(lines):
+        prior = first.setdefault(inputs, (output, len(events), line_no))
+        if prior[0] != output:
+            raise DeterminismViolation(
+                f"line {line_no}: input {list(inputs)} produced {output!r} "
+                f"but {prior[0]!r} on line {prior[2]}",
+                index=prior[1],
+                line=line_no,
+            )
+        events.append(Event(inputs, output))
+    return Trace(events)
+
+
+def ref_input_lines(lines) -> list[tuple[str, ...]]:
+    inputs = []
+    for line_no, obj in ref_json_lines(lines):
+        if not isinstance(obj, dict) or "in" not in obj or not set(obj) <= {"in", "out"}:
+            raise ParseError('expected an object with an "in" array', line=line_no)
+        inputs.append(ref_token_array(obj, "in", line_no))
+    return inputs
+
+
+def ref_minimiser(lines) -> tuple[dict, int]:
+    """(mapping, arity) of a pre-processor table file."""
+    mapping: dict = {}
+    arity = None
+    for line_no, obj in ref_json_lines(lines):
+        if not isinstance(obj, dict) or set(obj) != {"from", "to"}:
+            raise ParseError('expected exactly the fields "from" and "to"', line=line_no)
+        src = ref_token_array(obj, "from", line_no)
+        dst = ref_token_array(obj, "to", line_no)
+        if arity is None:
+            arity = len(src)
+        if len(src) != arity or len(dst) != arity:
+            raise ParseError(
+                f"arities {len(src)}/{len(dst)} differ from earlier arity {arity}", line=line_no
+            )
+        if mapping.setdefault(src, dst) != dst:
+            raise ParseError(f"duplicate entry for {list(src)} with a different target", line=line_no)
+    if arity is None:
+        raise ParseError("minimiser table file has no entries")
+    return mapping, arity

@@ -102,6 +102,12 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(two_case_program(), domain, order=[("1",), ("2",)])
 
+    @pytest.mark.parametrize("rep", ["least", "first"])
+    @pytest.mark.parametrize("order", [[("1",), ("1",)], [("1",), ("7",)], [("1",), ("2",), ("2",)]])
+    def test_order_that_is_not_a_permutation_rejected(self, order, rep):
+        with pytest.raises(ValueError, match="exactly once"):
+            synthesize(make_builtin("identity"), InputDomain([["1", "2"]]), rep_strategy=rep, order=order)
+
     def test_bad_rep_strategy(self):
         domain = InputDomain([["1", "2"]])
         for bad in ["rand:", "rand:x", "smallest"]:

@@ -3,10 +3,14 @@ enumeration, and trace file round-trips."""
 
 from __future__ import annotations
 
+import io
+import json
+import os
 import random
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from minimon import (
     DeterminismViolation,
@@ -14,13 +18,21 @@ from minimon import (
     InputDomain,
     ParseError,
     Trace,
+    load_minimiser,
     load_trace,
     parse_trace,
     serialize_trace,
 )
-from minimon.trace import is_token, parse_input_lines
+from minimon.trace import is_token, iter_io_lines, parse_input_lines
 
-from helpers import mono, table1_events
+from helpers import (
+    mono,
+    ref_input_lines,
+    ref_io_records,
+    ref_minimiser,
+    ref_parse_trace,
+    table1_events,
+)
 
 
 class TestTokens:
@@ -180,6 +192,18 @@ class TestDomain:
             elements = list(d.enumerate())
             assert len(elements) == len(set(elements)) == d.size
 
+    @pytest.mark.parametrize("lo, hi", [(-7, -3), (-4, 5), (0, 0), (-12, -12), (95, 105)])
+    def test_range_equals_set_of_same_values(self, lo, hi):
+        values = [str(i) for i in range(lo, hi + 1)]
+        ranged = InputDomain.from_dict({"sources": [{"range": [lo, hi]}, {"set": ["b", "a"]}]})
+        listed = InputDomain.from_dict({"sources": [{"set": values[::-1]}, {"set": ["a", "b"]}]})
+        built = InputDomain([values, ["a", "b", "a"]])
+        for other in (listed, built):
+            assert ranged.sources == other.sources
+            assert list(ranged.enumerate()) == list(other.enumerate())
+            assert ranged == other and hash(ranged) == hash(other)
+            assert ranged.size == other.size == 2 * len(values)
+
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
             InputDomain([[]])
@@ -265,3 +289,111 @@ class TestTraceFiles:
     def test_parse_input_lines_rejects_other_shapes(self):
         with pytest.raises(ParseError):
             parse_input_lines('{"out":"x"}\n')
+
+
+class _Raw(str):
+    """JSON text written into a line as it is."""
+
+
+_TOKENS = ["1", "2", "a", "x_y"]
+_ODD_VALUES = [
+    "", "a b", "a\u00a0b", "\u0085", "x\u2028", "\x0b", 5, None, True, 1.5, ["1"], {},
+    _Raw('"a\\u0020b"'), _Raw('"\\u00a0"'), _Raw('"b\\u0085"'), _Raw('"\\u2028x"'),
+    _Raw('"\\u0031"'),
+]
+_WHOLE_LINES = ["", "  ", "\x0b", "\t", "not json", "null", "[1]", '"s"', "{", "{}", "1 2"]
+_PREFIXES = ["\ufeff", " ", "\t", "\x0b"]
+_SUFFIXES = [" ", "\r", "\t", " x", "\x0b", ",", "}"]
+_FAULTS = [None] * 8 + [
+    "value", "arity", "scalar", "extra", "missing", "duplicate", "line", "prefix", "suffix",
+]
+
+
+def _dump(value, ensure_ascii: bool) -> str:
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, list):
+        return "[" + ",".join(_dump(v, ensure_ascii) for v in value) + "]"
+    return json.dumps(value, ensure_ascii=ensure_ascii)
+
+
+@st.composite
+def _jsonl(draw, fields: dict[str, bool]) -> str:
+    """A JSONL text of records with `fields` (name -> holds an array, else
+    one token): mostly valid, some lines with one fault or an unusual but
+    valid spelling."""
+    arity = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        pairs = [
+            (key, [draw(st.sampled_from(_TOKENS)) for _ in range(arity)] if is_array
+             else draw(st.sampled_from(_TOKENS)))
+            for key, is_array in fields.items()
+        ]
+        fault = draw(st.sampled_from(_FAULTS))
+        at = draw(st.integers(0, len(pairs) - 1))
+        key, value = pairs[at]
+        if fault == "value":
+            odd = draw(st.sampled_from(_ODD_VALUES))
+            if isinstance(value, list):
+                value = value[:]
+                value[draw(st.integers(0, len(value) - 1))] = odd
+            pairs[at] = (key, value if isinstance(value, list) else odd)
+        elif fault == "arity" and isinstance(value, list):
+            pairs[at] = (key, [draw(st.sampled_from(_TOKENS)) for _ in range(draw(st.integers(0, 4)))])
+        elif fault == "scalar":
+            pairs[at] = (key, draw(st.sampled_from(["1", []])))
+        elif fault == "extra":
+            pairs.append((draw(st.sampled_from(["x", "out"])), "1"))
+        elif fault == "missing":
+            del pairs[at]
+        elif fault == "duplicate":
+            pairs.append((key, draw(st.sampled_from([value, value[:1] if isinstance(value, list) else "2"]))))
+        comma, colon = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+        ensure_ascii = draw(st.booleans())
+        line = "{" + comma.join(f"{json.dumps(k)}{colon}{_dump(v, ensure_ascii)}" for k, v in pairs) + "}"
+        if fault == "line":
+            line = draw(st.sampled_from(_WHOLE_LINES))
+        elif fault == "prefix":
+            line = draw(st.sampled_from(_PREFIXES)) + line
+        elif fault == "suffix":
+            line += draw(st.sampled_from(_SUFFIXES))
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(read):
+    """What `read()` returns, or its error's class, message, line and index."""
+    try:
+        return read()
+    except (ParseError, DeterminismViolation) as exc:
+        return type(exc), str(exc), exc.line, getattr(exc, "index", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    io_text=_jsonl({"in": True, "out": False}),
+    inputs_text=_jsonl({"in": True}),
+    table_text=_jsonl({"from": True, "to": True}),
+)
+def test_readers_match_reference_readers(io_text, inputs_text, table_text):
+    """Every reader accepts what the per-line reference readers accept and
+    raises their errors, at the first faulty line."""
+    lines = list(io.StringIO(io_text, newline="\n"))
+    assert _outcome(lambda: list(iter_io_lines(lines))) == _outcome(lambda: list(ref_io_records(lines)))
+    assert _outcome(lambda: parse_trace(io_text)) == _outcome(lambda: ref_parse_trace(io_text.split("\n")))
+    assert _outcome(lambda: parse_input_lines(inputs_text)) == _outcome(
+        lambda: ref_input_lines(inputs_text.split("\n"))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pre.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(table_text)
+        with open(path, encoding="utf-8") as fh:
+            expected = _outcome(lambda: ref_minimiser(list(fh)))
+
+        def read_table():
+            table = load_minimiser(path)
+            return table.mapping, table.arity
+
+        assert _outcome(read_table) == expected
