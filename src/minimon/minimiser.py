@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program, stream
 from .properties import CollisionIndex, Mode
+from .tester import default_budget
 from .trace import (
     Event, InputDomain, InputTuple, _all_tokens, _checked_event, file_lines, json_lines, token_array,
 )
@@ -160,7 +161,14 @@ def validate_preprocessor(
 ) -> ValidationReport:
     """Check a candidate table over the whole domain: targets stay inside the
     domain, outputs are preserved, the map is idempotent, and (for minimiser
-    status) the program is injective on the table's range."""
+    status) the program is injective on the table's range. A domain larger
+    than the budget (default 10^7, env-overridable) is refused before any
+    probe."""
+    budget = default_budget()
+    if domain.size > budget:
+        raise BudgetExceeded(
+            f"validation needs {domain.size} probes, budget is {budget}"
+        )
     mapping = table.mapping
     failures: list[ValidationFailure] = []
     pre_ok = True

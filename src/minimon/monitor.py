@@ -48,8 +48,10 @@ class Monitor:
 
     Violations are detected against a first-occurrence CollisionIndex, which
     also reproduces the least witness pair. Only a new input touches the
-    index: O(1) in monolithic mode, and in strong-distributed mode `arity`
-    masked tuples of length arity - 1, so O(arity^2). A repeat costs one
+    index: O(1) in monolithic mode. In strong-distributed mode it is O(1)
+    while the input's output is new; once the output was seen before, it is
+    `arity` masked tuples of length arity - 1, so O(arity^2), plus a
+    one-time masking of that output's first input. A repeat costs one
     dictionary lookup.
     """
 

@@ -63,12 +63,17 @@ class Program:
         )
 
     def _accept(self, inputs: InputTuple, out: str) -> str:
-        """Check `out`, a fresh output for `inputs`, as a token and against
-        the first output recorded for `inputs`; record and return it."""
+        """Check `out`, a fresh output for `inputs`, as a token, then _keep()
+        it."""
         if not is_token(out):
             raise ProgramFailure(
                 f"program {self.name!r} produced an invalid output token: {out!r}"
             )
+        return self._keep(inputs, out)
+
+    def _keep(self, inputs: InputTuple, out: str) -> str:
+        """Check `out`, a fresh output token for `inputs`, against the first
+        output recorded for `inputs`; record and return it."""
         recorded = self._record.setdefault(inputs, out)
         if out != recorded:
             raise DeterminismViolation(
@@ -326,6 +331,9 @@ class CommandProgram(Program):
     def _stderr_excerpt(self) -> str:
         return b"".join(self._stderr_tail).decode("utf-8", errors="replace")
 
+    # _parse_reply has checked every reply as a token.
+    _accept = Program._keep
+
     def _request_line(self, inputs: InputTuple) -> bytes:
         return ("\t".join(inputs) + "\n").encode("utf-8")
 
@@ -415,7 +423,7 @@ class CommandProgram(Program):
                 if requests:
                     self._send(requests, owner)
                     requests = []
-                yield self._accept(inputs, self._receive(owner))
+                yield self._keep(inputs, self._receive(owner))
             if isinstance(stop, StopIteration):
                 return
             if stop is not None:

@@ -66,31 +66,51 @@ def single_diff_source(a: InputTuple, b: InputTuple) -> int | None:
     return found
 
 
+# Stands in the index for an output that two or more fed inputs share.
+_SHARED = object()
+
+
 class CollisionIndex:
     """First-occurrence collision index behind every minimality check.
 
-    Feed each distinct input once, in increasing position order. Keys are the
-    output (monolithic) or (source, input without that source, output)
-    (strong-distributed); since the fed inputs are distinct, any hit on an
-    existing key is a collision.
+    Feed each distinct input once, in increasing position order; since the
+    fed inputs are distinct, any hit on an existing key is a collision.
+    Monolithic keys are outputs. Strong-distributed keys are (source, input
+    without that source, output), but only for outputs that repeat, since a
+    collision needs a shared output: an output seen once keys just its
+    (inputs, position). The second input with that output swaps the entry
+    for a marker and keys the first input's masked tuples at its position.
+    So a new input costs O(1) while its output is new, and O(arity^2) once
+    it repeats, plus a one-time masking of that output's first input.
     """
 
     __slots__ = ("_sdist", "_first")
 
     def __init__(self, mode: Mode):
         self._sdist = mode is Mode.STRONG_DISTRIBUTED
+        # A str key (an output) never equals a tuple key (a masked tuple).
         self._first: dict = {}
 
     def add(self, inputs: InputTuple, output: str, pos: int) -> tuple[int, int | None] | None:
         """Index a new input; return the least earlier colliding (position,
         differing_source), or None. differing_source is None in monolithic
         mode."""
+        first = self._first
         if not self._sdist:
-            prior = self._first.setdefault(output, pos)
+            prior = first.setdefault(output, pos)
             return None if prior == pos else (prior, None)
+        lone = first.get(output)
+        if lone is None:
+            first[output] = (inputs, pos)
+            return None
+        if lone is not _SHARED:
+            first[output] = _SHARED
+            lone_inputs, lone_pos = lone
+            for j in range(len(lone_inputs)):
+                first[(j, lone_inputs[:j] + lone_inputs[j + 1:], output)] = lone_pos
         best = None
         for j in range(len(inputs)):
-            prior = self._first.setdefault((j, inputs[:j] + inputs[j + 1:], output), pos)
+            prior = first.setdefault((j, inputs[:j] + inputs[j + 1:], output), pos)
             if prior != pos and (best is None or prior < best[0]):
                 best = (prior, j)
         return best

@@ -166,14 +166,19 @@ class Trace:
             raise ValueError(
                 f"event has arity {event.arity}, trace has arity {self._arity}"
             )
-        prior = self._first_seen.get(event.inputs)
+        first_seen = self._first_seen
+        prior = first_seen.get(event.inputs)
         if prior is not None and prior[0] != event.output:
             raise DeterminismViolation(
                 f"input {event.inputs} produced {event.output!r} "
                 f"but {prior[0]!r} at position {prior[1]}",
                 index=prior[1],
             )
-        return Trace(self._events + (event,))
+        if not isinstance(event, Event):
+            raise TypeError(f"expected Event, got {type(event).__name__}")
+        if prior is None:
+            first_seen = {**first_seen, event.inputs: (event.output, len(self._events))}
+        return Trace._from_checked(self._events + (event,), first_seen)
 
     def is_prefix_of(self, other: Trace) -> bool:
         return len(self) <= len(other) and other._events[: len(self)] == self._events

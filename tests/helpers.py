@@ -111,6 +111,23 @@ def naive_sdm_witness(trace: Trace) -> tuple[int, int, int] | None:
     return None
 
 
+class EagerSdistIndex:
+    """Strong-distributed collision index that keys every input's masked
+    tuples as it arrives, whether or not its output ever repeats: the
+    reference the lazy CollisionIndex is checked against."""
+
+    def __init__(self):
+        self.first: dict = {}
+
+    def add(self, inputs, output, pos):
+        best = None
+        for j in range(len(inputs)):
+            prior = self.first.setdefault((j, inputs[:j] + inputs[j + 1:], output), pos)
+            if prior != pos and (best is None or prior < best[0]):
+                best = (prior, j)
+        return best
+
+
 # exec: worker that reads each request's coordinates as mixed-radix digits and
 # replies "o<value mod MODULUS>": injective while MODULUS covers the domain,
 # colliding early when it is small. With a COUNT_FILE it writes how many

@@ -468,6 +468,18 @@ class TestCheckPre:
             "failures": [],
         }
 
+    def test_budget_env_is_honoured(self, files):
+        import os
+
+        domain = files("d.json", '{"sources":[{"set":["1","2"]}]}')
+        pre = files("pre.jsonl", '{"from":["1"],"to":["1"]}\n{"from":["2"],"to":["2"]}\n')
+        args = ("check-pre", "--program", "builtin:identity", "--domain", domain, "--pre", pre)
+        result = run_cli(*args, env=dict(os.environ, MINIMON_BUDGET="1"))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "budget is 1" in result.stderr
+        assert run_cli(*args, env=dict(os.environ, MINIMON_BUDGET="2")).returncode == 0
+
 
 class TestOracle:
     def test_xor_table(self, files):

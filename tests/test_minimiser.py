@@ -9,6 +9,7 @@ import pytest
 
 from minimon import (
     BudgetExceeded,
+    BuiltinProgram,
     InputDomain,
     InputOutsideDomain,
     MinimiserTable,
@@ -211,6 +212,24 @@ class TestValidate:
         table = MinimiserTable({("1",): ("1",), ("2",): ("1",)}, 1)
         with pytest.raises(InputOutsideDomain):
             validate_preprocessor(make_builtin("identity"), domain, table)
+
+    def test_budget_is_checked_before_any_probe(self, monkeypatch):
+        calls = []
+
+        def spy(inputs):
+            calls.append(inputs)
+            return inputs[0]
+
+        program = BuiltinProgram("spy", 1, spy)
+        domain = InputDomain([["1", "2", "3"]])
+        identity = MinimiserTable({(v,): (v,) for v in ["1", "2", "3"]}, 1)
+        monkeypatch.setenv("MINIMON_BUDGET", "2")
+        with pytest.raises(BudgetExceeded, match="budget is 2"):
+            validate_preprocessor(program, domain, identity)
+        assert calls == []
+        monkeypatch.setenv("MINIMON_BUDGET", "3")
+        assert validate_preprocessor(program, domain, identity).is_minimiser
+        assert sorted(calls) == [("1",), ("2",), ("3",)]
 
 
 class TestCompose:

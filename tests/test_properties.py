@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimon import (
     Event,
@@ -20,7 +22,10 @@ from minimon import (
     strong_dist_witness,
 )
 
+from minimon.properties import CollisionIndex
+
 from helpers import (
+    EagerSdistIndex,
     mono,
     naive_mono_witness,
     naive_sdm_witness,
@@ -198,3 +203,44 @@ class TestClosure:
                 for e in t.events[:4]:
                     assert not sat(t.append(e))
         assert found > 20
+
+
+@st.composite
+def distinct_observations(draw):
+    """Distinct inputs of one arity over a small per-source alphabet, so that
+    inputs one source apart are common, with outputs from an alphabet of 1, 2
+    or 5 values, or all fresh."""
+    arity = draw(st.integers(1, 4))
+    inputs = draw(st.lists(
+        st.tuples(*[st.sampled_from("abc")] * arity), unique=True, max_size=30,
+    ))
+    alphabet = draw(st.sampled_from([1, 2, 5, None]))
+    if alphabet is None:
+        outputs = [f"o{k}" for k in range(len(inputs))]
+    else:
+        outputs = draw(st.lists(
+            st.sampled_from([f"o{k}" for k in range(alphabet)]),
+            min_size=len(inputs), max_size=len(inputs),
+        ))
+    return list(zip(inputs, outputs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_observations())
+def test_sdist_index_matches_eager_index(observations):
+    """The lazy index returns what the eager one does on every add, and keeps
+    masked keys only for outputs that repeat."""
+    index = CollisionIndex(Mode.STRONG_DISTRIBUTED)
+    eager = EagerSdistIndex()
+    for pos, (inputs, output) in enumerate(observations):
+        assert index.add(inputs, output, pos) == eager.add(inputs, output, pos)
+    counts = Counter(output for _, output in observations)
+    shared = {output for output, n in counts.items() if n > 1}
+    masked = {k: v for k, v in index._first.items() if type(k) is tuple}
+    assert masked == {k: v for k, v in eager.first.items() if k[2] in shared}
+    # one entry per output besides the masked keys; an input is kept only
+    # while its output is unshared
+    assert len(index._first) == len(masked) + len(counts)
+    assert sum(type(v) is tuple for v in index._first.values()) == len(counts) - len(shared)
+    if not shared:
+        assert len(index._first) == len(observations)

@@ -122,17 +122,50 @@ def test_trace_construction_enforces_determinism(events):
         assert seen.setdefault(e.inputs, e.output) == e.output
 
 
-@given(events_strategy)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([("0",), ("1",), ("2",), ("0", "1")]),
+            st.sampled_from(["a", "b"]),
+        ),
+        max_size=12,
+    ).map(lambda pairs: [Event(i, o) for i, o in pairs])
+)
 def test_append_agrees_with_constructor(events):
+    """A chain of appends builds Trace(events), or fails at the event where
+    Trace(events) fails, naming the same prior position."""
     trace = Trace()
-    try:
-        for e in events:
-            trace = trace.append(e)
-    except DeterminismViolation:
-        with pytest.raises(DeterminismViolation):
-            Trace(events)
-        return
-    assert trace == Trace(events)
+    first: dict = {}
+    for pos, e in enumerate(events):
+        prior = first.get(e.inputs)
+        if trace.arity is not None and e.arity != trace.arity:
+            with pytest.raises(ValueError, match=f"trace has arity {trace.arity}"):
+                trace.append(e)
+            with pytest.raises(ValueError, match=f"event {pos} has arity"):
+                Trace(events)
+            return
+        if prior is not None and prior[0] != e.output:
+            with pytest.raises(DeterminismViolation) as exc:
+                trace.append(e)
+            assert str(exc.value) == (
+                f"input {e.inputs} produced {e.output!r} but {prior[0]!r} at position {prior[1]}"
+            )
+            with pytest.raises(DeterminismViolation) as whole:
+                Trace(events)
+            assert exc.value.index == whole.value.index == prior[1]
+            return
+        first.setdefault(e.inputs, (e.output, pos))
+        before = trace
+        trace = trace.append(e)
+        assert len(before) == pos  # the trace appended to is unchanged
+        assert before.distinct_inputs() == len(first) - (prior is None)
+    built = Trace(events)
+    assert trace == built and trace.arity == built.arity
+    assert trace.distinct_inputs() == built.distinct_inputs() == len(first)
+    for inputs, (output, _) in first.items():
+        assert trace.output_of(inputs) == built.output_of(inputs) == output
+    assert trace.output_of(("9",)) is None
+    assert trace._first_seen == built._first_seen
 
 
 @given(events_strategy)
