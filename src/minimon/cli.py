@@ -7,6 +7,7 @@ Exit codes mirror verdicts so CI scripts can branch: 0 = TRUE, 1 = FALSE,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import shlex
@@ -51,7 +52,32 @@ EXIT_ERROR = 3
 _EXIT_BY_VERDICT = {Verdict.TRUE: EXIT_TRUE, Verdict.FALSE: EXIT_FALSE, Verdict.UNKNOWN: EXIT_UNKNOWN}
 _MODES = {"mono": Mode.MONOLITHIC, "sdist": Mode.STRONG_DISTRIBUTED}
 _STRATEGIES = {"rand": RANDOM_PERMUTATION, "lex": LEXICOGRAPHIC}
-_NOTIONS = ("mono", "sdist", "dist")
+
+
+def _pair_text(witness) -> str:
+    """A table oracle's collision witness line; sdist's names the source."""
+    text = (
+        f"witness: inputs {'/'.join(witness.input_a)} and "
+        f"{'/'.join(witness.input_b)} share an output"
+    )
+    if witness.differing_source is None:
+        return text
+    return f"{text}, differing source {witness.differing_source}"
+
+
+def _indistinguishable_text(pair) -> str:
+    return (
+        f"witness: source {pair.source} values {pair.value_a} and "
+        f"{pair.value_b} are indistinguishable in every context"
+    )
+
+
+# oracle --notion: (checker, witness line), in the usage's order.
+_ORACLES = {
+    "mono": (table_mono_minimal, _pair_text),
+    "sdist": (table_strong_dist_minimal, _pair_text),
+    "dist": (table_dist_minimal, _indistinguishable_text),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,17 +185,13 @@ def cmd_monitor(args) -> int:
         arity = domain.arity
     program = _load_composed(args, arity)
     monitor = Monitor(MonitorConfig(_MODES[args.mode], domain))
-    try:
-        for step_no, raw in enumerate(stream, start=1):
-            if step_no > args.max_steps:
-                break
-            event = program.observe(raw)
+    with program:
+        events = program.observe_all(itertools.islice(stream, max(args.max_steps, 0)))
+        for step_no, event in enumerate(events, start=1):
             verdict = monitor.step(event)
             print(f"{step_no}\t{','.join(event.inputs)}\t{event.output}\t{verdict.value}")
             if verdict.conclusive:
                 break
-    finally:
-        program.close()
     if monitor.witness is not None:
         print(_witness_text(monitor.witness))
     return _EXIT_BY_VERDICT[monitor.verdict]
@@ -179,12 +201,10 @@ def cmd_test(args) -> int:
     domain = load_domain(args.domain)
     program = _load_composed(args, domain.arity)
     mode = _MODES[args.mode]
-    try:
+    with program:
         report = run_test(
             program, domain, mode, strategy=_STRATEGIES[args.strategy], seed=args.seed
         )
-    finally:
-        program.close()
     if args.json:
         out = report.to_dict()
         out["command"] = "test"
@@ -204,12 +224,10 @@ def cmd_test(args) -> int:
 def cmd_synth_min(args) -> int:
     domain = load_domain(args.domain)
     program = _load_composed(args, domain.arity)
-    try:
+    with program:
         start = time.perf_counter()
         table, partition = synthesize(program, domain, rep_strategy=args.rep)
         elapsed = time.perf_counter() - start
-    finally:
-        program.close()
     save_minimiser(table, args.out)
     print(f"{partition.count} partitions ({elapsed:.3f} s)")
     print(f"wrote {args.out}")
@@ -220,10 +238,8 @@ def cmd_check_pre(args) -> int:
     domain = load_domain(args.domain)
     program = _build_program(args.program, domain.arity)
     table = load_minimiser(args.pre)
-    try:
+    with program:
         report = validate_preprocessor(program, domain, table)
-    finally:
-        program.close()
     if args.json:
         out = report.to_dict()
         out["command"] = "check-pre"
@@ -241,32 +257,11 @@ def cmd_check_pre(args) -> int:
 def cmd_oracle(args) -> int:
     table_program = TableProgram.load(args.table)
     domain = table_program.infer_domain()
-    table = FunctionTable(domain, table_program.mapping)
-    if args.notion == "mono":
-        ok, witness = table_mono_minimal(table)
-        detail = (
-            f"witness: inputs {'/'.join(witness.input_a)} and "
-            f"{'/'.join(witness.input_b)} share an output"
-            if witness else None
-        )
-    elif args.notion == "sdist":
-        ok, witness = table_strong_dist_minimal(table)
-        detail = (
-            f"witness: inputs {'/'.join(witness.input_a)} and "
-            f"{'/'.join(witness.input_b)} share an output, "
-            f"differing source {witness.differing_source}"
-            if witness else None
-        )
-    else:
-        ok, pair = table_dist_minimal(table)
-        detail = (
-            f"witness: source {pair.source} values {pair.value_a} and "
-            f"{pair.value_b} are indistinguishable in every context"
-            if pair else None
-        )
+    check, describe = _ORACLES[args.notion]
+    ok, witness = check(FunctionTable(domain, table_program.mapping))
     print("minimal" if ok else "non-minimal")
-    if detail:
-        print(detail)
+    if witness is not None:
+        print(describe(witness))
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
@@ -324,7 +319,7 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exhaustive minimality check of a full function table")
     p.add_argument("--table", required=True, help="JSONL function table file")
-    p.add_argument("--notion", choices=_NOTIONS, required=True)
+    p.add_argument("--notion", choices=_ORACLES, required=True)
     p.set_defaults(func=cmd_oracle)
 
     return parser

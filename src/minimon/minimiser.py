@@ -18,9 +18,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program, stream
 from .properties import CollisionIndex, Mode
-from .tester import default_budget
+from .tester import check_budget
 from .trace import (
-    Event, InputDomain, InputTuple, _all_tokens, _checked_event, file_lines, json_lines, token_array,
+    Event, InputDomain, InputTuple, _all_tokens, file_lines, json_lines, token_array,
 )
 
 DEFAULT_SYNTH_CAP = 10**6
@@ -162,26 +162,26 @@ def validate_preprocessor(
     """Check a candidate table over the whole domain: targets stay inside the
     domain, outputs are preserved, the map is idempotent, and (for minimiser
     status) the program is injective on the table's range. A domain larger
-    than the budget (default 10^7, env-overridable) is refused before any
-    probe."""
-    budget = default_budget()
-    if domain.size > budget:
-        raise BudgetExceeded(
-            f"validation needs {domain.size} probes, budget is {budget}"
-        )
+    than the budget (default 10^7, env-overridable), or one the table is not
+    total on, is refused before any probe; then the program's stream
+    evaluates each domain element once, and every check is a lookup."""
+    check_budget(domain.size, "validation needs {} probes")
     mapping = table.mapping
+    order = list(domain.enumerate())
+    for inputs in order:
+        if inputs not in mapping:
+            raise InputOutsideDomain(
+                f"table is not total on the domain: no entry for {inputs}"
+            )
+    outputs = dict(zip(order, stream(program, "evaluate", order)))
     failures: list[ValidationFailure] = []
     pre_ok = True
     flagged_targets: set[InputTuple] = set()
     reps_in_order: list[InputTuple] = []
     reps_seen: set[InputTuple] = set()
-    for inputs in domain.enumerate():
-        target = mapping.get(inputs)
-        if target is None:
-            raise InputOutsideDomain(
-                f"table is not total on the domain: no entry for {inputs}"
-            )
-        if not domain.contains(target):
+    for inputs in order:
+        target = mapping[inputs]
+        if target not in outputs:
             if target not in flagged_targets:
                 flagged_targets.add(target)
                 failures.append(ValidationFailure(
@@ -202,7 +202,7 @@ def validate_preprocessor(
                     f"{inputs} maps to {target}, which maps on to {retarget}",
                 ))
                 pre_ok = False
-        if program.evaluate(target) != program.evaluate(inputs):
+        if outputs[target] != outputs[inputs]:
             failures.append(ValidationFailure(
                 "changes-output",
                 (inputs, target),
@@ -213,7 +213,7 @@ def validate_preprocessor(
     injective = True
     index = CollisionIndex(Mode.MONOLITHIC)
     for pos, rep in enumerate(reps_in_order):
-        out = program.evaluate(rep)
+        out = outputs[rep]
         hit = index.add(rep, out, pos)
         if hit is not None:
             prior = reps_in_order[hit[0]]
@@ -243,17 +243,14 @@ class ComposedProgram(Program):
         return self.program.evaluate(self.table.apply(inputs))
 
     def observe(self, inputs: InputTuple) -> Event:
-        pre_processed = self.table.apply(inputs)
-        return _checked_event(pre_processed, self.program.evaluate(pre_processed))
+        return self.program.observe(self.table.apply(inputs))
 
     def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
         """The inner program's stream over the pre-processed inputs."""
         return self.program.evaluate_all(map(self.table.apply, order))
 
-    def observe_all(self, order: Sequence[InputTuple]) -> Iterator[Event]:
-        if not isinstance(order, Sequence):
-            order = tuple(order)
-        return map(_checked_event, map(self.table.apply, order), self.evaluate_all(order))
+    def observe_all(self, order: Iterable[InputTuple]) -> Iterator[Event]:
+        return self.program.observe_all(map(self.table.apply, order))
 
     def close(self) -> None:
         self.program.close()

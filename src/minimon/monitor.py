@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import DeterminismViolation, InputOutsideDomain
+from .errors import InputOutsideDomain
 from .properties import CollisionIndex, Mode, Witness
-from .trace import Event, InputDomain, InputTuple, Trace
+from .trace import Event, InputDomain, InputTuple, Trace, _position_conflict
 
 
 class Verdict(Enum):
@@ -97,21 +97,15 @@ class Monitor:
                 f"input {inputs} at position {pos} is outside the declared domain",
                 position=pos,
             )
-        prior = self._seen_inputs.get(inputs)
-        if prior is not None and prior[0] != output:
-            raise DeterminismViolation(
-                f"input {inputs} produced {output!r} at position {pos} "
-                f"but {prior[0]!r} at position {prior[1]}",
-                index=prior[1],
-            )
-        if prior is None:
-            self._seen_inputs[inputs] = (output, pos)
+        prior = self._seen_inputs.setdefault(inputs, (output, pos))
+        if prior[0] != output:
+            raise _position_conflict(inputs, output, pos, prior)
         self._events_seen = pos + 1
 
         if self._verdict.conclusive:
             return self._verdict
 
-        hit = self._index.add(inputs, output, pos) if prior is None else None
+        hit = self._index.add(inputs, output, pos) if prior[1] == pos else None
         if hit is not None:
             self._verdict = Verdict.FALSE
             self._witness = Witness(self.config.mode, hit[0], pos, hit[1])

@@ -11,12 +11,13 @@ output token on stdout.
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import queue
 import subprocess
 import threading
 import time
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DeterminismViolation,
@@ -49,18 +50,19 @@ class Program:
         self._record: dict[InputTuple, str] = {}
 
     def evaluate(self, inputs: InputTuple) -> str:
-        check_input_tuple(inputs)
-        if len(inputs) != self.arity:
-            raise self._arity_error(inputs)
+        self._check_inputs(inputs)
         recorded = self._record.get(inputs)
         if recorded is not None and self.cache_enabled:
             return recorded
         return self._accept(inputs, self._call(inputs))
 
-    def _arity_error(self, inputs: InputTuple) -> ValueError:
-        return ValueError(
-            f"program {self.name!r} has arity {self.arity}, got {len(inputs)} coordinates"
-        )
+    def _check_inputs(self, inputs: InputTuple) -> None:
+        """ValueError unless `inputs` is a tuple of `arity` value tokens."""
+        check_input_tuple(inputs)
+        if len(inputs) != self.arity:
+            raise ValueError(
+                f"program {self.name!r} has arity {self.arity}, got {len(inputs)} coordinates"
+            )
 
     def _accept(self, inputs: InputTuple, out: str) -> str:
         """Check `out`, a fresh output for `inputs`, as a token, then _keep()
@@ -94,11 +96,9 @@ class Program:
         input; a consumer may stop at any point."""
         return map(self.evaluate, order)
 
-    def observe_all(self, order: Sequence[InputTuple]) -> Iterator[Event]:
-        """observe() of each input of `order`, through evaluate_all()."""
-        if not isinstance(order, Sequence):
-            order = tuple(order)
-        return map(_checked_event, order, self.evaluate_all(order))
+    def observe_all(self, order: Iterable[InputTuple]) -> Iterator[Event]:
+        """observe() of each input of `order`, as evaluate_all() gives it."""
+        return map(self.observe, order)
 
     def _call(self, inputs: InputTuple) -> str:
         raise NotImplementedError
@@ -116,7 +116,7 @@ class Program:
         return f"{type(self).__name__}({self.name!r}, arity={self.arity})"
 
 
-def stream(program, method: str, order: Sequence[InputTuple]) -> Iterator:
+def stream(program, method: str, order: Iterable[InputTuple]) -> Iterator:
     """`program.<method>_all(order)` for method "evaluate" or "observe". A
     handle that has only the one-input method, such as a wrapper around a
     Program, is called once per input."""
@@ -280,11 +280,11 @@ class CommandProgram(Program):
     """External executable driven over the tab/LF line protocol.
 
     Session mode (default) keeps one child process. evaluate() sends one
-    request line and waits for its reply; evaluate_all() keeps up to 64
-    requests in flight, written as one batch, and reads the replies in
-    order, so the child must read its requests as a stream and answer each
-    in turn. Per-call mode spawns a fresh process per input. Replies must
-    arrive within `timeout` seconds.
+    request line and waits for its reply; evaluate_all() and observe_all(),
+    which every driver uses, keep up to 64 requests in flight, written as
+    one batch, and read the replies in order, so the child must read its
+    requests as a stream and answer each in turn. Per-call mode spawns a
+    fresh process per input. Replies must arrive within `timeout` seconds.
     """
 
     def __init__(
@@ -376,12 +376,18 @@ class CommandProgram(Program):
     def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
         if not self.session:
             return super().evaluate_all(order)
-        return self._pipeline(iter(order))
+        return (output for _, output in self._pipeline(iter(order)))
 
-    def _pipeline(self, order: Iterator[InputTuple]) -> Iterator[str]:
-        """Session evaluate_all(): each window of requests goes out in one
-        write once the consumer reaches its first request, and each reply is
-        read when the consumer reaches its input.
+    def observe_all(self, order: Iterable[InputTuple]) -> Iterator[Event]:
+        if not self.session:
+            return super().observe_all(order)
+        return itertools.starmap(_checked_event, self._pipeline(iter(order)))
+
+    def _pipeline(self, order: Iterator[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
+        """(inputs, output) for each input of `order`, for the session
+        evaluate_all() and observe_all(): each window of requests goes out in
+        one write once the consumer reaches its first request, and each reply
+        is read when the consumer reaches its input.
 
         A memo hit sends nothing, also on an input whose request is still in
         flight. An input that fails its check, or an error raised while
@@ -399,9 +405,7 @@ class CommandProgram(Program):
             while len(requests) < _WINDOW:
                 try:
                     inputs = carry.pop() if carry else next(order)
-                    check_input_tuple(inputs)
-                    if len(inputs) != self.arity:
-                        raise self._arity_error(inputs)
+                    self._check_inputs(inputs)
                 except Exception as exc:  # StopIteration too: the end of `order`
                     stop = exc
                     break
@@ -418,12 +422,12 @@ class CommandProgram(Program):
                 window.append((inputs, True))
             for inputs, sent in window:
                 if not sent:
-                    yield self._record[inputs]
+                    yield inputs, self._record[inputs]
                     continue
                 if requests:
                     self._send(requests, owner)
                     requests = []
-                yield self._keep(inputs, self._receive(owner))
+                yield inputs, self._keep(inputs, self._receive(owner))
             if isinstance(stop, StopIteration):
                 return
             if stop is not None:

@@ -37,6 +37,15 @@ def default_budget() -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
+def check_budget(planned: int, need: str, budget: int | None = None) -> None:
+    """BudgetExceeded when `planned` exceeds `budget` (default_budget() if
+    None); `need` starts the message, with {} for `planned`."""
+    if budget is None:
+        budget = default_budget()
+    if planned > budget:
+        raise BudgetExceeded(f"{need.format(planned)}, budget is {budget}")
+
+
 @dataclass
 class FunctionTable:
     """A program materialised as a total map over a product domain."""
@@ -109,15 +118,10 @@ def table_dist_minimal(
     values by output vector. The scan costs arity * domain.size table lookups
     and refuses to start past `budget` (default 10^7, env-overridable).
     """
-    if budget is None:
-        budget = default_budget()
     domain = table.domain
-    planned = domain.arity * domain.size
-    if planned > budget:
-        raise BudgetExceeded(
-            f"distributed-minimality scan needs {planned} table lookups, "
-            f"budget is {budget}"
-        )
+    check_budget(
+        domain.arity * domain.size, "distributed-minimality scan needs {} table lookups", budget
+    )
     for j, src in enumerate(domain.sources):
         others = [s for k, s in enumerate(domain.sources) if k != j]
         groups: dict[tuple[str, ...], list[int]] = {}
@@ -179,11 +183,7 @@ def run_test(
         raise ValueError(
             f"program arity {program.arity} does not match domain arity {domain.arity}"
         )
-    budget = default_budget()
-    if domain.size > budget:
-        raise BudgetExceeded(
-            f"test needs up to {domain.size} probes, budget is {budget}"
-        )
+    check_budget(domain.size, "test needs up to {} probes")
     order = list(domain.enumerate())
     if strategy == RANDOM_PERMUTATION:
         random.Random(seed).shuffle(order)

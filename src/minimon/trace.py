@@ -106,15 +106,9 @@ class Trace:
                 raise ValueError(
                     f"event {pos} has arity {e.arity}, trace has arity {arity}"
                 )
-            prior = first_seen.get(e.inputs)
-            if prior is None:
-                first_seen[e.inputs] = (e.output, pos)
-            elif prior[0] != e.output:
-                raise DeterminismViolation(
-                    f"input {e.inputs} produced {e.output!r} at position {pos} "
-                    f"but {prior[0]!r} at position {prior[1]}",
-                    index=prior[1],
-                )
+            prior = first_seen.setdefault(e.inputs, (e.output, pos))
+            if prior[0] != e.output:
+                raise _position_conflict(e.inputs, e.output, pos, prior)
         self._events = evs
         self._arity = arity
         self._first_seen = first_seen
@@ -405,6 +399,18 @@ def line_conflict(
         f"but {prior_output!r} on line {prior_line}",
         index=prior_index,
         line=line_no,
+    )
+
+
+def _position_conflict(
+    inputs: InputTuple, output: str, pos: int, prior: tuple[str, int]
+) -> DeterminismViolation:
+    """The error for `inputs` producing `output` at position `pos` after
+    `prior`, its (output, first position)."""
+    return DeterminismViolation(
+        f"input {inputs} produced {output!r} at position {pos} "
+        f"but {prior[0]!r} at position {prior[1]}",
+        index=prior[1],
     )
 
 

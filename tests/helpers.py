@@ -10,8 +10,9 @@ import json
 import random
 import sys
 
-from minimon import DeterminismViolation, Event, InputDomain, ParseError, Trace
-from minimon.properties import single_diff_source
+from minimon import DeterminismViolation, Event, InputDomain, InputOutsideDomain, ParseError, Trace
+from minimon.minimiser import ValidationFailure, ValidationReport
+from minimon.properties import CollisionIndex, Mode, single_diff_source
 
 
 def mono(inp: str, out: str) -> Event:
@@ -126,6 +127,66 @@ class EagerSdistIndex:
             if prior != pos and (best is None or prior < best[0]):
                 best = (prior, j)
         return best
+
+
+def ref_validate_preprocessor(program, domain, table) -> ValidationReport:
+    """validate_preprocessor as one walk of the domain that evaluates an
+    input and its target on the spot and each representative again: the
+    reference the single evaluation pass is checked against."""
+    mapping = table.mapping
+    failures = []
+    pre_ok = True
+    flagged_targets = set()
+    reps_in_order = []
+    reps_seen = set()
+    for inputs in domain.enumerate():
+        target = mapping.get(inputs)
+        if target is None:
+            raise InputOutsideDomain(
+                f"table is not total on the domain: no entry for {inputs}"
+            )
+        if not domain.contains(target):
+            if target not in flagged_targets:
+                flagged_targets.add(target)
+                failures.append(ValidationFailure(
+                    "target-outside-domain",
+                    (inputs, target),
+                    f"{inputs} maps to {target}, which is outside the domain",
+                ))
+            pre_ok = False
+            continue
+        if target not in reps_seen:
+            reps_seen.add(target)
+            reps_in_order.append(target)
+            retarget = mapping.get(target)
+            if retarget != target:
+                failures.append(ValidationFailure(
+                    "not-idempotent",
+                    (inputs, target),
+                    f"{inputs} maps to {target}, which maps on to {retarget}",
+                ))
+                pre_ok = False
+        if program.evaluate(target) != program.evaluate(inputs):
+            failures.append(ValidationFailure(
+                "changes-output",
+                (inputs, target),
+                f"program({inputs}) != program({target}) so the table changes behaviour",
+            ))
+            pre_ok = False
+    injective = True
+    index = CollisionIndex(Mode.MONOLITHIC)
+    for pos, rep in enumerate(reps_in_order):
+        out = program.evaluate(rep)
+        hit = index.add(rep, out, pos)
+        if hit is not None:
+            prior = reps_in_order[hit[0]]
+            failures.append(ValidationFailure(
+                "representatives-collide",
+                (prior, rep),
+                f"representatives {prior} and {rep} share output {out!r}",
+            ))
+            injective = False
+    return ValidationReport(pre_ok, pre_ok and injective, failures)
 
 
 # exec: worker that reads each request's coordinates as mixed-radix digits and

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,8 @@ from minimon import (
     prefix_verdicts,
 )
 from minimon.cli import _MODES, cmd_check_trace, main
+
+from helpers import mod_worker
 
 TABLE1_TRACE = (
     '{"in":["5000"],"out":"true"}\n'
@@ -320,6 +323,57 @@ class TestMonitor:
         assert all(line.endswith("UNKNOWN") for line in lines)
         observed = {line.split("\t")[1] for line in lines}
         assert observed <= {"1", "10000"}
+
+    @pytest.mark.parametrize("max_steps", ["0", "-1"])
+    def test_no_steps(self, files, max_steps):
+        inputs = files("inputs.jsonl", '{"in":["1"]}\n{"in":["2"]}\n')
+        result = run_cli(
+            "monitor", "--program", "builtin:identity", "--mode", "mono",
+            "--inputs", inputs, "--max-steps", max_steps,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", "")
+
+    def test_random_with_a_huge_step_limit_stops_at_the_verdict(self, files):
+        """--random draws inputs as the monitor steps: a limit of 10^9 steps
+        costs nothing once the verdict is in. The command may use at most
+        1 GiB of address space, so drawing every input up front fails it."""
+        limited = (
+            "import resource, runpy; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "runpy.run_module('minimon', run_name='__main__')"
+        )
+        domain = files("d.json", '{"sources":[{"range":[0,99]}]}')
+        result = subprocess.run(
+            [sys.executable, "-c", limited, "monitor", "--program", "builtin:benefits",
+             "--mode", "mono", "--domain", domain, "--random", "--seed", "4",
+             "--max-steps", "1000000000"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[-2].endswith("FALSE") and lines[-1].startswith("witness:")
+
+    def test_exec_early_false_is_the_same_at_every_window(self, files, tmp_path, monkeypatch, capsys):
+        """Replay over exec: with the verdict in the first window: the same
+        stdout with one request in flight as with 64, and close() raises
+        nothing about the replies that arrive after the verdict."""
+        from minimon import programs
+
+        inputs = files("inputs.jsonl", "".join(f'{{"in":["{n}"]}}\n' for n in range(100)))
+        runs = []
+        for window in (1, 64):
+            monkeypatch.setattr(programs, "_WINDOW", window)
+            count = tmp_path / f"served{window}.txt"
+            spec = "exec:" + shlex.join(mod_worker(3, 10, count))
+            code = main(["monitor", "--program", spec, "--mode", "mono", "--inputs", inputs])
+            runs.append((code, capsys.readouterr(), int(count.read_text())))
+        (code_one, out_one, served_one), (code_piped, out_piped, served_piped) = runs
+        assert code_one == code_piped == 1
+        assert out_piped == out_one and out_one.err == ""
+        assert out_one.out.splitlines()[:4] == [
+            "1\t0\to0\tUNKNOWN", "2\t1\to1\tUNKNOWN", "3\t2\to2\tUNKNOWN", "4\t3\to0\tFALSE",
+        ]
+        assert served_one == 4 and served_piped <= 4 + 63
 
     def test_random_without_domain(self):
         result = run_cli(

@@ -6,10 +6,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimon import (
     BudgetExceeded,
     BuiltinProgram,
+    CommandProgram,
     InputDomain,
     InputOutsideDomain,
     MinimiserTable,
@@ -22,8 +24,9 @@ from minimon import (
     synthesize,
     validate_preprocessor,
 )
+from minimon import programs
 
-from helpers import random_full_table
+from helpers import mod_worker, random_full_table, ref_validate_preprocessor
 
 SALARIES = InputDomain([[str(n) for n in range(1, 30001)]])
 
@@ -230,6 +233,96 @@ class TestValidate:
         monkeypatch.setenv("MINIMON_BUDGET", "3")
         assert validate_preprocessor(program, domain, identity).is_minimiser
         assert sorted(calls) == [("1",), ("2",), ("3",)]
+
+
+def random_candidate(rnd: random.Random, missing: float = 0.04):
+    """(domain, outputs, table): an arity 1-2 domain of at most 4 values per
+    source, a program's outputs from an alphabet of 1-3 letters, and a
+    candidate table whose entries go to the input's class representative, to
+    itself, to a random domain element or outside the domain, or are
+    missing. The table may also have entries for inputs outside the domain."""
+    arity = rnd.randint(1, 2)
+    domain = InputDomain([[str(v) for v in range(rnd.randint(1, 4))] for _ in range(arity)])
+    inputs = list(domain.enumerate())
+    alphabet = "abc"[: rnd.randint(1, 3)]
+    outputs = {i: rnd.choice(alphabet) for i in inputs}
+    reps: dict = {}
+    for i in inputs:
+        reps.setdefault(outputs[i], rnd.choice([j for j in inputs if outputs[j] == outputs[i]]))
+    outside = [("7",) * arity, ("8",) * arity]
+    mapping = {}
+    for i in inputs:
+        roll = rnd.random()
+        if roll < missing:
+            continue
+        if roll < 0.15:
+            mapping[i] = rnd.choice(outside)
+        elif roll < 0.35:
+            mapping[i] = rnd.choice(inputs)
+        elif roll < 0.55:
+            mapping[i] = i
+        else:
+            mapping[i] = reps[outputs[i]]
+    for extra in outside[: rnd.randint(0, 2)]:
+        mapping[extra] = rnd.choice(outside)
+    return domain, outputs, MinimiserTable(mapping, arity)
+
+
+def validation_outcome(validate, program, domain, table):
+    """The report as a dict, or the error's class and message."""
+    try:
+        return validate(program, domain, table).to_dict()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestSinglePassValidation:
+    """validate_preprocessor's one evaluation pass against the two-evaluate
+    walk in helpers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, seed):
+        domain, outputs, table = random_candidate(random.Random(seed))
+        got = validation_outcome(validate_preprocessor, TableProgram(outputs), domain, table)
+        want = validation_outcome(ref_validate_preprocessor, TableProgram(outputs), domain, table)
+        assert got == want
+
+    def test_candidates_cover_every_failure_kind(self):
+        rnd = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            domain, outputs, table = random_candidate(rnd)
+            outcome = validation_outcome(
+                ref_validate_preprocessor, TableProgram(outputs), domain, table
+            )
+            if isinstance(outcome, tuple):
+                seen.add(outcome[0].__name__)
+            else:
+                seen.update(f["kind"] for f in outcome["failures"])
+                seen.add(("preprocessor", outcome["is_preprocessor"], outcome["is_minimiser"]))
+        assert seen >= {
+            "InputOutsideDomain", "target-outside-domain", "not-idempotent",
+            "changes-output", "representatives-collide",
+            ("preprocessor", True, True), ("preprocessor", True, False),
+        }
+
+    @pytest.mark.parametrize("window", [1, 64])
+    def test_exec_worker_gets_one_request_per_domain_element(self, tmp_path, monkeypatch, window):
+        monkeypatch.setattr(programs, "_WINDOW", window)
+        rnd = random.Random(window)
+        for n in range(6):
+            domain, _, table = random_candidate(rnd, missing=0)
+            modulus = rnd.randint(1, 5)
+            reference = BuiltinProgram(
+                "mod", domain.arity, lambda i: "o%d" % (int("".join(i), 4) % modulus)
+            )
+            count = tmp_path / f"served{n}.txt"
+            argv = mod_worker(modulus, 4, count)
+            with CommandProgram(argv, arity=domain.arity) as program:
+                got = validate_preprocessor(program, domain, table).to_dict()
+            assert got == ref_validate_preprocessor(reference, domain, table).to_dict()
+            assert count.read_text() == str(domain.size)
 
 
 class TestCompose:

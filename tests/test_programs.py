@@ -15,6 +15,7 @@ from minimon import (
     Event,
     InputDomain,
     InputOutsideDomain,
+    MinimiserTable,
     Mode,
     ParseError,
     ProgramFailure,
@@ -544,3 +545,43 @@ class TestPipeline:
         got, error = _pull(program.observe_all(order))
         assert got == [Event(("0", "1"), "1"), Event(("1", "1"), "0")]
         assert isinstance(error, ProgramFailure)
+
+
+class _OrderBroke(Exception):
+    pass
+
+
+def _breaking_order(k: int):
+    """("0",), ("1",), ... that raises _OrderBroke when asked for input k."""
+    yield from ((str(n),) for n in range(k))
+    raise _OrderBroke(f"order broke at input {k}")
+
+
+# Every program maps ("n",) to "o<n>"; the composition first sends n to the
+# even number at or below it.
+_EVEN = MinimiserTable({(str(n),): (str(n - n % 2),) for n in range(200)}, 1)
+
+
+@pytest.mark.parametrize("k", [0, 3, 70])
+@pytest.mark.parametrize(
+    "kind", ["builtin", "table", "exec-1", "exec-64", "composed-builtin", "composed-exec"]
+)
+def test_observe_all_yields_the_events_before_an_order_error(monkeypatch, kind, k):
+    """observe_all() takes inputs from the order as it goes: an order that
+    raises at input k yields k events, then that error."""
+    monkeypatch.setattr(programs, "_WINDOW", 1 if kind == "exec-1" else 64)
+    if kind.endswith("builtin"):
+        program = BuiltinProgram("o", 1, lambda i: "o" + i[0])
+    elif kind == "table":
+        program = programs.TableProgram({(str(n),): f"o{n}" for n in range(200)})
+    else:
+        program = CommandProgram(mod_worker(1000, 10), arity=1)
+    if kind.startswith("composed"):
+        program = compose(program, _EVEN)
+    with program:
+        got, error = _pull(program.observe_all(_breaking_order(k)))
+    observed = [(str(n),) for n in range(k)]
+    if kind.startswith("composed"):
+        observed = list(map(_EVEN.apply, observed))
+    assert got == [Event(i, "o" + i[0]) for i in observed]
+    assert isinstance(error, _OrderBroke) and str(error) == f"order broke at input {k}"

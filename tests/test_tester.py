@@ -12,6 +12,7 @@ from minimon import (
     BudgetExceeded,
     DomainMismatch,
     InputDomain,
+    MinimiserTable,
     Mode,
     TableProgram,
     Trace,
@@ -243,6 +244,24 @@ class TestRunTest:
         one, piped = reports
         assert piped.verdict is Verdict.FALSE and piped.steps < 20
         assert (piped.steps, piped.witness, piped.trace) == (one.steps, one.witness, one.trace)
+
+    @pytest.mark.parametrize("over_exec, window", [(False, 64), (True, 1), (True, 64)])
+    def test_early_false_before_a_missing_pre_entry(self, monkeypatch, over_exec, window):
+        """The monitor concludes before the composition reaches an input its
+        pre table lacks, inside the first window or after it: the FALSE
+        stands, and the missing entry is never raised."""
+        monkeypatch.setattr(programs, "_WINDOW", window)
+        domain = InputDomain([[str(n) for n in range(100)]])
+        for missing in ("10", "99"):
+            entries = {(str(n),): (str(n),) for n in range(100)}
+            del entries[(missing,)]
+            table = MinimiserTable(entries, 1)
+            inner = (
+                CommandProgram(mod_worker(2, 10), arity=1) if over_exec else make_builtin("const:z")
+            )
+            with compose(inner, table) as program:
+                report = run_test(program, domain, Mode.MONOLITHIC, strategy=LEXICOGRAPHIC)
+            assert (report.verdict, report.steps) == (Verdict.FALSE, 3 if over_exec else 2)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
