@@ -1,122 +1,84 @@
 """Runtime verification of data minimisation for deterministic black-box
 programs: trace-level property checks, incremental three-valued monitors,
 whole-domain pre-deployment testing, and input-minimiser synthesis.
+
+`import minimon` imports no submodule: each public name loads its module on
+first use, so a command pays start-up only for the modules it runs.
 """
 
-from .errors import (
-    BudgetExceeded,
-    DeterminismViolation,
-    DomainMismatch,
-    InputOutsideDomain,
-    MinimonError,
-    ParseError,
-    ProgramFailure,
-    UnknownBuiltin,
-)
-from .minimiser import (
-    ComposedProgram,
-    MinimiserTable,
-    PartitionMap,
-    ValidationReport,
-    compose,
-    load_minimiser,
-    save_minimiser,
-    synthesize,
-    validate_preprocessor,
-)
-from .monitor import Monitor, MonitorConfig, Verdict, monitor_eval, prefix_verdicts
-from .programs import (
-    BuiltinProgram,
-    CommandProgram,
-    Program,
-    TableProgram,
-    make_builtin,
-)
-from .properties import (
-    Mode,
-    Witness,
-    covers_domain,
-    find_witness,
-    is_mono_minimal,
-    is_strong_dist_minimal,
-    mono_witness,
-    single_diff_source,
-    strong_dist_witness,
-)
-from .tester import (
-    CollisionWitness,
-    FunctionTable,
-    IndistinguishablePair,
-    TestReport,
-    build_table,
-    run_test,
-    table_dist_minimal,
-    table_mono_minimal,
-    table_strong_dist_minimal,
-)
-from .trace import (
-    Event,
-    InputDomain,
-    Trace,
-    load_domain,
-    load_trace,
-    parse_trace,
-    serialize_trace,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceeded",
-    "BuiltinProgram",
-    "CollisionWitness",
-    "CommandProgram",
-    "ComposedProgram",
-    "DeterminismViolation",
-    "DomainMismatch",
-    "Event",
-    "FunctionTable",
-    "IndistinguishablePair",
-    "InputDomain",
-    "InputOutsideDomain",
-    "MinimiserTable",
-    "MinimonError",
-    "Mode",
-    "Monitor",
-    "MonitorConfig",
-    "ParseError",
-    "PartitionMap",
-    "Program",
-    "ProgramFailure",
-    "TableProgram",
-    "TestReport",
-    "Trace",
-    "UnknownBuiltin",
-    "ValidationReport",
-    "Verdict",
-    "Witness",
-    "build_table",
-    "compose",
-    "covers_domain",
-    "find_witness",
-    "is_mono_minimal",
-    "is_strong_dist_minimal",
-    "load_domain",
-    "load_minimiser",
-    "load_trace",
-    "make_builtin",
-    "mono_witness",
-    "monitor_eval",
-    "parse_trace",
-    "prefix_verdicts",
-    "run_test",
-    "save_minimiser",
-    "serialize_trace",
-    "single_diff_source",
-    "strong_dist_witness",
-    "synthesize",
-    "table_dist_minimal",
-    "table_mono_minimal",
-    "table_strong_dist_minimal",
-    "validate_preprocessor",
-]
+# Each public name and the submodule that defines it, in __all__'s order.
+_ORIGIN = {
+    "BudgetExceeded": "errors",
+    "BuiltinProgram": "programs",
+    "CollisionWitness": "tester",
+    "CommandProgram": "programs",
+    "ComposedProgram": "minimiser",
+    "DeterminismViolation": "errors",
+    "DomainMismatch": "errors",
+    "Event": "trace",
+    "FunctionTable": "tester",
+    "IndistinguishablePair": "tester",
+    "InputDomain": "trace",
+    "InputOutsideDomain": "errors",
+    "MinimiserTable": "minimiser",
+    "MinimonError": "errors",
+    "Mode": "properties",
+    "Monitor": "monitor",
+    "MonitorConfig": "monitor",
+    "ParseError": "errors",
+    "PartitionMap": "minimiser",
+    "Program": "programs",
+    "ProgramFailure": "errors",
+    "TableProgram": "programs",
+    "TestReport": "tester",
+    "Trace": "trace",
+    "UnknownBuiltin": "errors",
+    "ValidationReport": "minimiser",
+    "Verdict": "monitor",
+    "Witness": "properties",
+    "build_table": "tester",
+    "compose": "minimiser",
+    "covers_domain": "properties",
+    "find_witness": "properties",
+    "is_mono_minimal": "properties",
+    "is_strong_dist_minimal": "properties",
+    "load_domain": "trace",
+    "load_minimiser": "minimiser",
+    "load_trace": "trace",
+    "make_builtin": "programs",
+    "mono_witness": "properties",
+    "monitor_eval": "monitor",
+    "parse_trace": "trace",
+    "prefix_verdicts": "monitor",
+    "run_test": "tester",
+    "save_minimiser": "minimiser",
+    "serialize_trace": "trace",
+    "single_diff_source": "properties",
+    "strong_dist_witness": "properties",
+    "synthesize": "minimiser",
+    "table_dist_minimal": "tester",
+    "table_mono_minimal": "tester",
+    "table_strong_dist_minimal": "tester",
+    "validate_preprocessor": "minimiser",
+}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines public `name` and keep the name
+    here, so later lookups find it without this call."""
+    try:
+        module = _ORIGIN[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

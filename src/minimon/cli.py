@@ -2,6 +2,9 @@
 
 Exit codes mirror verdicts so CI scripts can branch: 0 = TRUE, 1 = FALSE,
 2 = UNKNOWN, 3 = usage or runtime error.
+
+Only what check-trace runs is imported at module level. Every other command
+imports the rest of what it runs itself, so each pays start-up only for that.
 """
 
 from __future__ import annotations
@@ -9,32 +12,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import random
-import shlex
 import sys
-import time
 from array import array
 
 from .errors import DeterminismViolation, MinimonError
-from .minimiser import (
-    compose,
-    load_minimiser,
-    save_minimiser,
-    synthesize,
-    validate_preprocessor,
-)
 from .monitor import Monitor, MonitorConfig, Verdict
-from .programs import CommandProgram, Program, TableProgram, make_builtin
 from .properties import Mode, Witness
-from .tester import (
-    LEXICOGRAPHIC,
-    RANDOM_PERMUTATION,
-    FunctionTable,
-    table_dist_minimal,
-    table_mono_minimal,
-    table_strong_dist_minimal,
-    run_test,
-)
 from .trace import (
     InputDomain,
     file_lines,
@@ -51,7 +34,8 @@ EXIT_ERROR = 3
 
 _EXIT_BY_VERDICT = {Verdict.TRUE: EXIT_TRUE, Verdict.FALSE: EXIT_FALSE, Verdict.UNKNOWN: EXIT_UNKNOWN}
 _MODES = {"mono": Mode.MONOLITHIC, "sdist": Mode.STRONG_DISTRIBUTED}
-_STRATEGIES = {"rand": RANDOM_PERMUTATION, "lex": LEXICOGRAPHIC}
+# test --strategy: the name of the `tester` constant for each.
+_STRATEGIES = {"rand": "RANDOM_PERMUTATION", "lex": "LEXICOGRAPHIC"}
 
 
 def _pair_text(witness) -> str:
@@ -72,11 +56,12 @@ def _indistinguishable_text(pair) -> str:
     )
 
 
-# oracle --notion: (checker, witness line), in the usage's order.
+# oracle --notion: (name of the `tester` checker, witness line), in the
+# usage's order.
 _ORACLES = {
-    "mono": (table_mono_minimal, _pair_text),
-    "sdist": (table_strong_dist_minimal, _pair_text),
-    "dist": (table_dist_minimal, _indistinguishable_text),
+    "mono": ("table_mono_minimal", _pair_text),
+    "sdist": ("table_strong_dist_minimal", _pair_text),
+    "dist": ("table_dist_minimal", _indistinguishable_text),
 }
 
 
@@ -89,12 +74,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _build_program(spec: str, arity: int) -> Program:
+def _build_program(spec: str, arity: int):
+    from .programs import CommandProgram, TableProgram, make_builtin
+
     if spec.startswith("builtin:"):
         return make_builtin(spec[len("builtin:"):])
     if spec.startswith("table:"):
         return TableProgram.load(spec[len("table:"):])
     if spec.startswith("exec:"):
+        import shlex
+
         argv = shlex.split(spec[len("exec:"):])
         if not argv:
             raise MinimonError("exec: program spec has an empty command line")
@@ -105,10 +94,12 @@ def _build_program(spec: str, arity: int) -> Program:
     )
 
 
-def _load_composed(args, arity: int) -> Program:
+def _load_composed(args, arity: int):
     program = _build_program(args.program, arity)
     pre = getattr(args, "pre", None)
     if pre:
+        from .minimiser import compose, load_minimiser
+
         program = compose(program, load_minimiser(pre))
     return program
 
@@ -164,6 +155,8 @@ def cmd_check_trace(args) -> int:
 
 
 def _random_inputs(domain: InputDomain, seed: int):
+    import random
+
     rnd = random.Random(seed)
     while True:
         yield tuple(rnd.choice(src) for src in domain.sources)
@@ -198,13 +191,14 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from . import tester
+
     domain = load_domain(args.domain)
     program = _load_composed(args, domain.arity)
     mode = _MODES[args.mode]
+    strategy = getattr(tester, _STRATEGIES[args.strategy])
     with program:
-        report = run_test(
-            program, domain, mode, strategy=_STRATEGIES[args.strategy], seed=args.seed
-        )
+        report = tester.run_test(program, domain, mode, strategy=strategy, seed=args.seed)
     if args.json:
         out = report.to_dict()
         out["command"] = "test"
@@ -222,6 +216,10 @@ def cmd_test(args) -> int:
 
 
 def cmd_synth_min(args) -> int:
+    import time
+
+    from .minimiser import save_minimiser, synthesize
+
     domain = load_domain(args.domain)
     program = _load_composed(args, domain.arity)
     with program:
@@ -235,6 +233,8 @@ def cmd_synth_min(args) -> int:
 
 
 def cmd_check_pre(args) -> int:
+    from .minimiser import load_minimiser, validate_preprocessor
+
     domain = load_domain(args.domain)
     program = _build_program(args.program, domain.arity)
     table = load_minimiser(args.pre)
@@ -255,10 +255,13 @@ def cmd_check_pre(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import tester
+    from .programs import TableProgram
+
     table_program = TableProgram.load(args.table)
     domain = table_program.infer_domain()
     check, describe = _ORACLES[args.notion]
-    ok, witness = check(FunctionTable(domain, table_program.mapping))
+    ok, witness = getattr(tester, check)(tester.FunctionTable(domain, table_program.mapping))
     print("minimal" if ok else "non-minimal")
     if witness is not None:
         print(describe(witness))
@@ -330,10 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MinimonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (MinimonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

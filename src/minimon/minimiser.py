@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program, stream

@@ -10,9 +10,9 @@ satisfaction cannot be broken by deterministic repeats.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .errors import InputOutsideDomain
 from .properties import CollisionIndex, Mode, Witness

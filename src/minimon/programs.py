@@ -13,11 +13,8 @@ from __future__ import annotations
 import collections
 import itertools
 import json
-import queue
-import subprocess
-import threading
 import time
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
     DeterminismViolation,
@@ -36,6 +33,15 @@ from .trace import (
 # writing a window never blocks on a child that stopped reading.
 _WINDOW = 64
 _WINDOW_BYTES = 4096
+
+
+def _import_child_modules() -> None:
+    """Bind the modules that only a child process needs, on its first start,
+    so that builtin and table programs never import them."""
+    global queue, subprocess, threading
+    import queue
+    import subprocess
+    import threading
 
 
 class Program:
@@ -308,6 +314,7 @@ class CommandProgram(Program):
         self._owner: object | None = None
 
     def _spawn(self) -> None:
+        _import_child_modules()
         try:
             self._proc = subprocess.Popen(
                 self.argv,
@@ -516,6 +523,7 @@ class CommandProgram(Program):
             self._in_flight -= 1
 
     def _call_once(self, inputs: InputTuple) -> str:
+        _import_child_modules()
         try:
             done = subprocess.run(
                 self.argv,

@@ -8,9 +8,9 @@ the incremental equivalents live in `monitor` and must agree.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import InputOutsideDomain
 from .trace import InputDomain, InputTuple, Trace

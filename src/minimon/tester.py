@@ -55,11 +55,13 @@ class FunctionTable:
 
 
 def build_table(program, domain: InputDomain) -> FunctionTable:
-    """Invoke the program once per domain element, in enumeration order."""
+    """Invoke the program once per domain element, in enumeration order. A
+    domain larger than the budget is refused before any probe."""
     if program.arity != domain.arity:
         raise ValueError(
             f"program arity {program.arity} does not match domain arity {domain.arity}"
         )
+    check_budget(domain.size, "table needs {} probes")
     order = list(domain.enumerate())
     return FunctionTable(domain, dict(zip(order, stream(program, "evaluate", order))))
 

@@ -12,8 +12,9 @@ import itertools
 import json
 import re
 from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from io import TextIOBase
 
 from .errors import DeterminismViolation, ParseError
 
@@ -299,7 +300,7 @@ def load_domain(path: str) -> InputDomain:
     return InputDomain.from_dict(obj)
 
 
-def file_lines(fh: TextIO) -> Iterator[str]:
+def file_lines(fh: TextIOBase) -> Iterator[str]:
     """The lines of a file opened as UTF-8 text, streamed. Invalid UTF-8
     raises the error a whole-file read raises, whose byte position counts
     from the start of the file, not from the chunk the stream was decoding."""

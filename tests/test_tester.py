@@ -56,6 +56,23 @@ def test_build_table_arity_mismatch():
         build_table(make_builtin("xor"), InputDomain([["0", "1"]]))
 
 
+def test_build_table_budget_is_checked_before_any_probe(monkeypatch):
+    calls = []
+
+    def spy(inputs):
+        calls.append(inputs)
+        return "".join(inputs)
+
+    program = programs.BuiltinProgram("spy", 2, spy)
+    monkeypatch.setenv("MINIMON_BUDGET", str(BITS.size - 1))
+    with pytest.raises(BudgetExceeded, match="table needs 4 probes, budget is 3"):
+        build_table(program, BITS)
+    assert calls == []
+    monkeypatch.setenv("MINIMON_BUDGET", str(BITS.size))
+    assert build_table(program, BITS).outputs == {i: "".join(i) for i in BITS.enumerate()}
+    assert len(calls) == BITS.size
+
+
 class TestMonoOracle:
     def test_injective_table(self):
         domain = InputDomain([[str(n) for n in range(1, 6)]])
