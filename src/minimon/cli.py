@@ -13,16 +13,14 @@ import argparse
 import itertools
 import json
 import sys
-from array import array
 
-from .errors import DeterminismViolation, MinimonError
+from .errors import MinimonError
 from .monitor import Monitor, MonitorConfig, Verdict
 from .properties import Mode, Witness
 from .trace import (
     InputDomain,
     file_lines,
-    iter_io_lines,
-    line_conflict,
+    io_records,
     load_domain,
     parse_input_lines,
 )
@@ -118,23 +116,14 @@ def _witness_text(witness: Witness, records=None) -> str:
 
 
 def cmd_check_trace(args) -> int:
-    # The trace is streamed: each record goes from the reader, which checks
-    # it once, straight into the monitor, the only determinism check here.
+    # The trace is streamed: the reader checks each record once and records
+    # it in the monitor's own record, so a conflict names both file lines.
     mode = _MODES[args.mode]
     with open(args.trace, "r", encoding="utf-8") as fh:
         domain = load_domain(args.domain) if args.domain else None
         monitor = Monitor(MonitorConfig(mode, domain))
-        verdicts: list[Verdict] = []
-        line_of = array("q")  # position -> file line, for determinism errors
-        for line_no, inputs, output in iter_io_lines(file_lines(fh)):
-            line_of.append(line_no)
-            try:
-                verdicts.append(monitor.step_io(inputs, output))
-            except DeterminismViolation as exc:
-                [(_, prior_output)] = monitor.first_occurrences([exc.index])
-                raise line_conflict(
-                    line_no, inputs, output, prior_output, exc.index, line_of[exc.index]
-                ) from None
+        records = io_records(file_lines(fh), monitor.first_seen)
+        verdicts = list(itertools.starmap(monitor.step_io, records))
     final = monitor.verdict
     witness = monitor.witness
     if args.json:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program, stream
 from .properties import CollisionIndex, Mode
-from .tester import check_budget
+from .tester import check_arity, check_budget
 from .trace import (
     Event, InputDomain, InputTuple, _all_tokens, file_lines, json_lines, token_array,
 )
@@ -91,10 +91,7 @@ def synthesize(
     a seeded random member. Deterministic for a fixed strategy.
     """
     kind, seed = _parse_rep_strategy(rep_strategy)
-    if program.arity != domain.arity:
-        raise ValueError(
-            f"program arity {program.arity} does not match domain arity {domain.arity}"
-        )
+    check_arity(program, domain)
     if domain.size > cap:
         raise BudgetExceeded(
             f"domain has {domain.size} elements, synthesis cap is {cap}"
@@ -230,16 +227,16 @@ class ComposedProgram(Program):
     """`program` behind a pre-processor: evaluates program(apply(table, i));
     monitors attached to it observe the pre-processed input."""
 
-    def __init__(self, program: Program, table: MinimiserTable, cache: bool = True):
+    def __init__(self, program: Program, table: MinimiserTable):
         if program.arity != table.arity:
             raise ValueError(
                 f"program arity {program.arity} does not match table arity {table.arity}"
             )
-        super().__init__(program.arity, f"pre+{program.name}", cache)
+        super().__init__(program.arity, f"pre+{program.name}")
         self.program = program
         self.table = table
 
-    def _call(self, inputs: InputTuple) -> str:
+    def evaluate(self, inputs: InputTuple) -> str:
         return self.program.evaluate(self.table.apply(inputs))
 
     def observe(self, inputs: InputTuple) -> Event:
@@ -292,12 +289,10 @@ def load_minimiser(path: str) -> MinimiserTable:
                         f"arities {len(src)}/{len(dst)} differ from earlier arity {arity}",
                         line=line_no,
                     )
-            prior = mapping.get(src)
-            if prior is not None and prior != dst:
+            if mapping.setdefault(src, dst) != dst:
                 raise ParseError(
                     f"duplicate entry for {list(src)} with a different target", line=line_no
                 )
-            mapping[src] = dst
     if arity is None:
         raise ParseError("minimiser table file has no entries")
     return MinimiserTable(mapping, arity)

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import InputOutsideDomain
 from .properties import CollisionIndex, Mode, Witness
-from .trace import Event, InputDomain, InputTuple, Trace, _position_conflict
+from .trace import Event, InputDomain, InputTuple, Trace, _FirstSeen, _record
 
 
 class Verdict(Enum):
@@ -53,14 +53,18 @@ class Monitor:
     `arity` masked tuples of length arity - 1, so O(arity^2), plus a
     one-time masking of that output's first input. A repeat costs one
     dictionary lookup.
+
+    `first_seen` maps each input stepped so far to (output, first
+    position): the determinism record and the coverage count. A reader may
+    record an input there before step_io() does, at the position step_io()
+    gives it, as trace.io_records does for check-trace.
     """
 
     def __init__(self, config: MonitorConfig):
         self.config = config
         self._arity: int | None = config.domain.arity if config.domain else None
         self._events_seen = 0
-        # input -> (output, first position); determinism record + coverage count
-        self._seen_inputs: dict[InputTuple, tuple[str, int]] = {}
+        self.first_seen: _FirstSeen = {}
         self._index = CollisionIndex(config.mode)
         self._verdict = Verdict.UNKNOWN
         self._witness: Witness | None = None
@@ -97,22 +101,21 @@ class Monitor:
                 f"input {inputs} at position {pos} is outside the declared domain",
                 position=pos,
             )
-        prior = self._seen_inputs.setdefault(inputs, (output, pos))
-        if prior[0] != output:
-            raise _position_conflict(inputs, output, pos, prior)
+        first = _record(self.first_seen, inputs, output, pos)
         self._events_seen = pos + 1
 
         if self._verdict.conclusive:
             return self._verdict
 
-        hit = self._index.add(inputs, output, pos) if prior[1] == pos else None
+        # Index `first`, the record's own int, so no second int per input.
+        hit = self._index.add(inputs, output, first) if first == pos else None
         if hit is not None:
             self._verdict = Verdict.FALSE
             self._witness = Witness(self.config.mode, hit[0], pos, hit[1])
         elif (
             domain is not None
             and pos >= 1
-            and len(self._seen_inputs) == domain.size
+            and len(self.first_seen) == domain.size
         ):
             self._verdict = Verdict.TRUE
         return self._verdict
@@ -121,7 +124,7 @@ class Monitor:
         """The Trace of `events`, which must be exactly the events stepped so
         far, built from this monitor's first-occurrence record instead of a
         second scan."""
-        return Trace._from_checked(tuple(events), dict(self._seen_inputs))
+        return Trace._from_checked(tuple(events), dict(self.first_seen))
 
     def first_occurrences(self, positions: Sequence[int]) -> list[tuple[InputTuple, str]]:
         """(inputs, output) of the events at `positions`, in order. Each must
@@ -130,7 +133,7 @@ class Monitor:
         wanted = set(positions)
         found = {
             pos: (inputs, output)
-            for inputs, (output, pos) in self._seen_inputs.items()
+            for inputs, (output, pos) in self.first_seen.items()
             if pos in wanted
         }
         return [found[pos] for pos in positions]

@@ -231,23 +231,19 @@ class TableProgram(Program):
 
     @classmethod
     def load(cls, path: str, cache: bool = True) -> TableProgram:
-        mapping: dict[InputTuple, str] = {}
-        first_line: dict[InputTuple, int] = {}
+        rows: dict[InputTuple, tuple[str, int]] = {}  # input -> (output, first line)
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, inputs, output in iter_io_lines(file_lines(fh)):
-                prior = mapping.get(inputs)
-                if prior is not None and prior != output:
+                prior = rows.setdefault(inputs, (output, line_no))
+                if prior[0] != output:
                     raise DeterminismViolation(
                         f"line {line_no}: duplicate input {list(inputs)} with output "
-                        f"{output!r}, conflicting with line {first_line[inputs]}",
+                        f"{output!r}, conflicting with line {prior[1]}",
                         line=line_no,
                     )
-                if prior is None:
-                    mapping[inputs] = output
-                    first_line[inputs] = line_no
-        if not mapping:
+        if not rows:
             raise ParseError("table file has no rows")
-        return cls(mapping, name=path, cache=cache)
+        return cls({inputs: output for inputs, (output, _) in rows.items()}, name=path, cache=cache)
 
     def infer_domain(self) -> InputDomain:
         """Per-source value sets of the rows, required to form a full product."""

@@ -46,6 +46,14 @@ def check_budget(planned: int, need: str, budget: int | None = None) -> None:
         raise BudgetExceeded(f"{need.format(planned)}, budget is {budget}")
 
 
+def check_arity(program, domain: InputDomain) -> None:
+    """ValueError unless `program` takes inputs of the domain's arity."""
+    if program.arity != domain.arity:
+        raise ValueError(
+            f"program arity {program.arity} does not match domain arity {domain.arity}"
+        )
+
+
 @dataclass
 class FunctionTable:
     """A program materialised as a total map over a product domain."""
@@ -57,10 +65,7 @@ class FunctionTable:
 def build_table(program, domain: InputDomain) -> FunctionTable:
     """Invoke the program once per domain element, in enumeration order. A
     domain larger than the budget is refused before any probe."""
-    if program.arity != domain.arity:
-        raise ValueError(
-            f"program arity {program.arity} does not match domain arity {domain.arity}"
-        )
+    check_arity(program, domain)
     check_budget(domain.size, "table needs {} probes")
     order = list(domain.enumerate())
     return FunctionTable(domain, dict(zip(order, stream(program, "evaluate", order))))
@@ -181,10 +186,7 @@ def run_test(
     """
     if strategy not in (RANDOM_PERMUTATION, LEXICOGRAPHIC):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if program.arity != domain.arity:
-        raise ValueError(
-            f"program arity {program.arity} does not match domain arity {domain.arity}"
-        )
+    check_arity(program, domain)
     check_budget(domain.size, "test needs up to {} probes")
     order = list(domain.enumerate())
     if strategy == RANDOM_PERMUTATION:

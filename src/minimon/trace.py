@@ -19,6 +19,7 @@ from io import TextIOBase
 from .errors import DeterminismViolation, ParseError
 
 InputTuple = tuple[str, ...]
+_FirstSeen = dict[InputTuple, tuple[str, int]]  # input -> (output, first position)
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -97,7 +98,7 @@ class Trace:
     def __init__(self, events: Iterable[Event] = ()):
         evs = tuple(events)
         arity: int | None = None
-        first_seen: dict[InputTuple, tuple[str, int]] = {}
+        first_seen: _FirstSeen = {}
         for pos, e in enumerate(evs):
             if not isinstance(e, Event):
                 raise TypeError(f"expected Event, got {type(e).__name__}")
@@ -107,17 +108,13 @@ class Trace:
                 raise ValueError(
                     f"event {pos} has arity {e.arity}, trace has arity {arity}"
                 )
-            prior = first_seen.setdefault(e.inputs, (e.output, pos))
-            if prior[0] != e.output:
-                raise _position_conflict(e.inputs, e.output, pos, prior)
+            _record(first_seen, e.inputs, e.output, pos)
         self._events = evs
         self._arity = arity
         self._first_seen = first_seen
 
     @classmethod
-    def _from_checked(
-        cls, events: tuple[Event, ...], first_seen: dict[InputTuple, tuple[str, int]]
-    ) -> Trace:
+    def _from_checked(cls, events: tuple[Event, ...], first_seen: _FirstSeen) -> Trace:
         """A trace over events already known to share one arity and to be
         deterministic; `first_seen` maps each input to (output, first
         position). Skips the scan that __init__ makes."""
@@ -157,6 +154,8 @@ class Trace:
     def append(self, event: Event) -> Trace:
         """Extended trace, or DeterminismViolation naming the conflicting
         prior position."""
+        if not isinstance(event, Event):
+            raise TypeError(f"expected Event, got {type(event).__name__}")
         if self._arity is not None and event.arity != self._arity:
             raise ValueError(
                 f"event has arity {event.arity}, trace has arity {self._arity}"
@@ -169,8 +168,6 @@ class Trace:
                 f"but {prior[0]!r} at position {prior[1]}",
                 index=prior[1],
             )
-        if not isinstance(event, Event):
-            raise TypeError(f"expected Event, got {type(event).__name__}")
         if prior is None:
             first_seen = {**first_seen, event.inputs: (event.output, len(self._events))}
         return Trace._from_checked(self._events + (event,), first_seen)
@@ -348,9 +345,7 @@ def token_array(obj: dict, key: str, line_no: int) -> InputTuple:
     return tuple(raw)
 
 
-def iter_io_lines(
-    lines: Iterable[str], *, input_key: str = "in", output_key: str = "out"
-) -> Iterator[tuple[int, InputTuple, str]]:
+def iter_io_lines(lines: Iterable[str]) -> Iterator[tuple[int, InputTuple, str]]:
     """Yield (line_number, inputs, output) for each JSONL record of `lines`
     (see json_lines) in trace and table files.
 
@@ -363,23 +358,22 @@ def iter_io_lines(
     arity: int | None = None
     for line_no, obj in json_lines(lines):
         if type(obj) is dict and len(obj) == 2:
-            inputs = obj.get(input_key)
-            output = obj.get(output_key)
+            inputs = obj.get("in")
+            output = obj.get("out")
             if type(inputs) is list and len(inputs) == arity and _all_tokens([*inputs, output]):
                 yield line_no, tuple(inputs), output
                 continue
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line=line_no)
-        if len(obj) != 2 or input_key not in obj or output_key not in obj:
+        if len(obj) != 2 or "in" not in obj or "out" not in obj:
             raise ParseError(
-                f'expected exactly the fields "{input_key}" and "{output_key}", '
-                f"got {sorted(obj)}",
+                f'expected exactly the fields "in" and "out", got {sorted(obj)}',
                 line=line_no,
             )
-        inputs = token_array(obj, input_key, line_no)
-        output = obj[output_key]
+        inputs = token_array(obj, "in", line_no)
+        output = obj["out"]
         if not is_token(output):
-            raise ParseError(f'invalid "{output_key}" token: {output!r}', line=line_no)
+            raise ParseError(f'invalid "out" token: {output!r}', line=line_no)
         if arity is None:
             arity = len(inputs)
         elif len(inputs) != arity:
@@ -390,29 +384,38 @@ def iter_io_lines(
         yield line_no, inputs, output
 
 
-def line_conflict(
-    line_no: int, inputs: InputTuple, output: str, prior_output: str, prior_index: int, prior_line: int
-) -> DeterminismViolation:
-    """The error for a trace line whose input had another output at position
-    `prior_index`, on line `prior_line`."""
-    return DeterminismViolation(
-        f"line {line_no}: input {list(inputs)} produced {output!r} "
-        f"but {prior_output!r} on line {prior_line}",
-        index=prior_index,
-        line=line_no,
-    )
+def _record(first_seen: _FirstSeen, inputs: InputTuple, output: str, pos: int) -> int:
+    """Record in `first_seen` that `inputs` produced `output` at position
+    `pos`, and return the first position of `inputs`: `pos` when it is new,
+    also when a reader recorded it there already. DeterminismViolation if
+    an earlier position gave `inputs` another output."""
+    prior = first_seen.setdefault(inputs, (output, pos))
+    if prior[0] != output:
+        raise DeterminismViolation(
+            f"input {inputs} produced {output!r} at position {pos} "
+            f"but {prior[0]!r} at position {prior[1]}",
+            index=prior[1],
+        )
+    return prior[1]
 
 
-def _position_conflict(
-    inputs: InputTuple, output: str, pos: int, prior: tuple[str, int]
-) -> DeterminismViolation:
-    """The error for `inputs` producing `output` at position `pos` after
-    `prior`, its (output, first position)."""
-    return DeterminismViolation(
-        f"input {inputs} produced {output!r} at position {pos} "
-        f"but {prior[0]!r} at position {prior[1]}",
-        index=prior[1],
-    )
+def io_records(lines: Iterable[str], first_seen: _FirstSeen) -> Iterator[tuple[InputTuple, str]]:
+    """(inputs, output) for each record of a trace file's `lines` (see
+    iter_io_lines), each recorded in `first_seen` at its position in the
+    trace before it is yielded. A record whose input had another output raises
+    DeterminismViolation naming both file lines."""
+    line_of = array("q")  # position -> file line
+    for line_no, inputs, output in iter_io_lines(lines):
+        prior = first_seen.setdefault(inputs, (output, len(line_of)))
+        if prior[0] != output:
+            raise DeterminismViolation(
+                f"line {line_no}: input {list(inputs)} produced {output!r} "
+                f"but {prior[0]!r} on line {line_of[prior[1]]}",
+                index=prior[1],
+                line=line_no,
+            )
+        line_of.append(line_no)
+        yield inputs, output
 
 
 def _checked_event(inputs: InputTuple, output: str) -> Event:
@@ -424,19 +427,9 @@ def _checked_event(inputs: InputTuple, output: str) -> Event:
 
 
 def _read_trace(lines: Iterable[str]) -> Trace:
-    events: list[Event] = []
-    first_seen: dict[InputTuple, tuple[str, int]] = {}
-    line_of = array("q")  # position -> file line
-    for line_no, inputs, output in iter_io_lines(lines):
-        pos = len(events)
-        prior = first_seen.get(inputs)
-        if prior is None:
-            first_seen[inputs] = (output, pos)
-        elif prior[0] != output:
-            raise line_conflict(line_no, inputs, output, prior[0], prior[1], line_of[prior[1]])
-        line_of.append(line_no)
-        events.append(_checked_event(inputs, output))
-    return Trace._from_checked(tuple(events), first_seen)
+    first_seen: _FirstSeen = {}
+    events = tuple(itertools.starmap(_checked_event, io_records(lines, first_seen)))
+    return Trace._from_checked(events, first_seen)
 
 
 def parse_trace(text: str) -> Trace:

@@ -348,6 +348,23 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(make_builtin("xor"), table)
 
+    @pytest.mark.parametrize("inputs", [("0",), ("0", "x y"), ("1", "1")])
+    def test_every_method_fails_as_evaluate_does(self, inputs):
+        """A wrong arity, a non-token and an input the table lacks raise the
+        same error from evaluate, observe and both streams."""
+        table = MinimiserTable({("0", "0"): ("0", "0"), ("0", "1"): ("1", "0")}, 2)
+        composed = compose(make_builtin("xor"), table)
+        for call in (
+            composed.evaluate,
+            composed.observe,
+            lambda i: next(composed.evaluate_all([i])),
+            lambda i: next(composed.observe_all([i])),
+        ):
+            with pytest.raises(InputOutsideDomain) as exc:
+                call(inputs)
+            assert type(exc.value) is InputOutsideDomain
+            assert str(exc.value) == f"input {inputs} has no entry in the minimiser table"
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):

@@ -56,6 +56,17 @@ def test_build_table_arity_mismatch():
         build_table(make_builtin("xor"), InputDomain([["0", "1"]]))
 
 
+@pytest.mark.parametrize("driver", [
+    build_table,
+    lambda program, domain: run_test(program, domain, Mode.MONOLITHIC),
+    lambda program, domain: synthesize(program, domain, cap=0),
+])
+def test_arity_is_checked_before_the_budget(monkeypatch, driver):
+    monkeypatch.setenv("MINIMON_BUDGET", "0")
+    with pytest.raises(ValueError, match="^program arity 2 does not match domain arity 1$"):
+        driver(make_builtin("xor"), InputDomain([["0", "1"]]))
+
+
 def test_build_table_budget_is_checked_before_any_probe(monkeypatch):
     calls = []
 

@@ -84,6 +84,15 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace([mono("1", "x")]).append(Event(("1", "2"), "x"))
 
+    @pytest.mark.parametrize("events", [[], [mono("1", "x")]])
+    def test_append_rejects_a_non_event(self, events):
+        """The type is checked before any attribute of the event is read, as
+        the constructor checks it."""
+        with pytest.raises(TypeError, match="^expected Event, got str$"):
+            Trace(events).append("x")
+        with pytest.raises(TypeError, match="^expected Event, got str$"):
+            Trace(events + ["x"])
+
     def test_constructor_rejects_conflicts(self):
         with pytest.raises(DeterminismViolation):
             Trace([mono("1", "a"), mono("2", "b"), mono("1", "b")])
