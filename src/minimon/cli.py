@@ -172,7 +172,7 @@ def cmd_monitor(args) -> int:
         for step_no, event in enumerate(events, start=1):
             verdict = monitor.step(event)
             print(f"{step_no}\t{','.join(event.inputs)}\t{event.output}\t{verdict.value}")
-            if verdict.conclusive:
+            if verdict is not Verdict.UNKNOWN:
                 break
     if monitor.witness is not None:
         print(_witness_text(monitor.witness))

@@ -258,9 +258,10 @@ def compose(program: Program, table: MinimiserTable) -> ComposedProgram:
 
 
 def save_minimiser(table: MinimiserTable, path: str) -> None:
+    encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would build one per row
     with open(path, "w", encoding="utf-8") as fh:
         for src, dst in table.mapping.items():
-            fh.write(json.dumps({"from": list(src), "to": list(dst)}, separators=(",", ":")) + "\n")
+            fh.write(encode({"from": list(src), "to": list(dst)}) + "\n")
 
 
 def load_minimiser(path: str) -> MinimiserTable:

@@ -63,6 +63,7 @@ class Monitor:
     def __init__(self, config: MonitorConfig):
         self.config = config
         self._arity: int | None = config.domain.arity if config.domain else None
+        self._size = config.domain.size if config.domain else None  # inputs that give TRUE
         self._events_seen = 0
         self.first_seen: _FirstSeen = {}
         self._index = CollisionIndex(config.mode)
@@ -87,24 +88,32 @@ class Monitor:
 
     def step_io(self, inputs: InputTuple, output: str) -> Verdict:
         """step() for one (inputs, output) observation whose tokens the
-        caller has already checked, as iter_io_lines and Event do."""
+        caller has already checked, as iter_io_lines and Event do. Only a
+        new input is checked for arity and domain, and one that fails is not
+        recorded: so every recorded input passed them, and a repeat is not
+        checked again."""
         pos = self._events_seen
-        if self._arity is None:
-            self._arity = len(inputs)
-        elif len(inputs) != self._arity:
-            raise ValueError(
-                f"event has arity {len(inputs)}, monitor expects {self._arity}"
-            )
-        domain = self.config.domain
-        if domain is not None and not domain.contains(inputs):
-            raise InputOutsideDomain(
-                f"input {inputs} at position {pos} is outside the declared domain",
-                position=pos,
-            )
         first = _record(self.first_seen, inputs, output, pos)
+        if first == pos:
+            try:
+                if self._arity is None:
+                    self._arity = len(inputs)
+                elif len(inputs) != self._arity:
+                    raise ValueError(
+                        f"event has arity {len(inputs)}, monitor expects {self._arity}"
+                    )
+                domain = self.config.domain
+                if domain is not None and not domain.contains(inputs):
+                    raise InputOutsideDomain(
+                        f"input {inputs} at position {pos} is outside the declared domain",
+                        position=pos,
+                    )
+            except (ValueError, InputOutsideDomain):
+                del self.first_seen[inputs]  # also a reader's record: refused
+                raise
         self._events_seen = pos + 1
 
-        if self._verdict.conclusive:
+        if self._verdict is not Verdict.UNKNOWN:
             return self._verdict
 
         # Index `first`, the record's own int, so no second int per input.
@@ -112,11 +121,7 @@ class Monitor:
         if hit is not None:
             self._verdict = Verdict.FALSE
             self._witness = Witness(self.config.mode, hit[0], pos, hit[1])
-        elif (
-            domain is not None
-            and pos >= 1
-            and len(self.first_seen) == domain.size
-        ):
+        elif pos >= 1 and len(self.first_seen) == self._size:
             self._verdict = Verdict.TRUE
         return self._verdict
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import itertools
 import json
+import os
 import time
 from collections.abc import Callable, Iterable, Iterator
 
@@ -38,10 +39,9 @@ _WINDOW_BYTES = 4096
 def _import_child_modules() -> None:
     """Bind the modules that only a child process needs, on its first start,
     so that builtin and table programs never import them."""
-    global queue, subprocess, threading
-    import queue
+    global select, subprocess
+    import select
     import subprocess
-    import threading
 
 
 class Program:
@@ -56,11 +56,18 @@ class Program:
         self._record: dict[InputTuple, str] = {}
 
     def evaluate(self, inputs: InputTuple) -> str:
+        if self._memo_has(inputs):
+            return self._record[inputs]
         self._check_inputs(inputs)
-        recorded = self._record.get(inputs)
-        if recorded is not None and self.cache_enabled:
-            return recorded
         return self._accept(inputs, self._call(inputs))
+
+    def _memo_has(self, inputs: InputTuple, asked: set[InputTuple] | tuple = ()) -> bool:
+        """True iff the memo serves `inputs`: recorded or in `asked`, it passed
+        _check_inputs() then, so a hit is not checked again."""
+        try:
+            return self.cache_enabled and (inputs in self._record or inputs in asked)
+        except TypeError:
+            return False
 
     def _check_inputs(self, inputs: InputTuple) -> None:
         """ValueError unless `inputs` is a tuple of `arity` value tokens."""
@@ -267,17 +274,6 @@ def save_table(mapping: dict[InputTuple, str], path: str) -> None:
             fh.write(json.dumps({"in": list(inputs), "out": output}, separators=(",", ":")) + "\n")
 
 
-def _read_stdout(proc: subprocess.Popen, lines: queue.Queue) -> None:
-    for line in proc.stdout:
-        lines.put(line)
-    lines.put(None)
-
-
-def _read_stderr(proc: subprocess.Popen, tail: collections.deque) -> None:
-    for line in proc.stderr:
-        tail.append(line)
-
-
 class CommandProgram(Program):
     """External executable driven over the tab/LF line protocol.
 
@@ -285,8 +281,10 @@ class CommandProgram(Program):
     request line and waits for its reply; evaluate_all() and observe_all(),
     which every driver uses, keep up to 64 requests in flight, written as
     one batch, and read the replies in order, so the child must read its
-    requests as a stream and answer each in turn. Per-call mode spawns a
-    fresh process per input. Replies must arrive within `timeout` seconds.
+    requests as a stream and answer each in turn. A session reads the
+    replies itself, with poll() on the child's stdout and stderr (POSIX), so
+    it starts no reader thread. Per-call mode spawns a fresh process per
+    input. Replies must arrive within `timeout` seconds.
     """
 
     def __init__(
@@ -312,7 +310,7 @@ class CommandProgram(Program):
     def _spawn(self) -> None:
         _import_child_modules()
         try:
-            self._proc = subprocess.Popen(
+            proc = subprocess.Popen(
                 self.argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
@@ -320,16 +318,69 @@ class CommandProgram(Program):
             )
         except OSError as exc:
             raise ProgramFailure(f"cannot start {self.name!r}: {exc}") from exc
-        # Fresh per child: a killed child's reader must not leave its EOF
-        # sentinel or stderr lines where the next child's replies are read.
-        self._lines: queue.Queue[bytes | None] = queue.Queue()
+        self._proc = proc
+        # Fresh per child, so that no line of a killed child is read as a reply.
+        self._lines: collections.deque[bytes] = collections.deque()  # unread stdout lines
         self._stderr_tail: collections.deque[bytes] = collections.deque(maxlen=50)
-        self._readers = (
-            threading.Thread(target=_read_stdout, args=(self._proc, self._lines), daemon=True),
-            threading.Thread(target=_read_stderr, args=(self._proc, self._stderr_tail), daemon=True),
+        self._stdout = proc.stdout.fileno()
+        # Each pipe not yet at EOF: fd -> [where its lines go, its unfinished line].
+        self._pipes = {fd: [sink, bytearray()] for fd, sink in (
+            (self._stdout, self._lines), (proc.stderr.fileno(), self._stderr_tail))}
+        self._poll = select.poll()
+        for fd in self._pipes:
+            self._poll.register(fd, select.POLLIN)
+
+    def _pump(self, timeout: float) -> bool:
+        """Wait at most `timeout` seconds for the child's open pipes and read a
+        chunk from each that is ready, splitting it into lines; at EOF a
+        pipe's unfinished line is its last. False if no pipe was ready."""
+        ready = self._poll.poll(timeout * 1000)
+        for fd, _ in ready:
+            chunk = os.read(fd, 65536)
+            sink, unfinished = self._pipes[fd]
+            unfinished += chunk  # in place: a long line is not copied per chunk
+            if b"\n" in chunk:
+                *lines, unfinished[:] = bytes(unfinished).split(b"\n")
+                sink.extend([line + b"\n" for line in lines])
+            if chunk:
+                continue
+            if unfinished:
+                sink.append(bytes(unfinished))
+            self._poll.unregister(fd)
+            del self._pipes[fd]
+        return bool(ready)
+
+    def _next_line(self, deadline: float) -> bytes | None:
+        """The next stdout line, or None at EOF or after `deadline`."""
+        while not self._lines:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or self._stdout not in self._pipes:
+                return None
+            self._pump(remaining)
+        return self._lines.popleft()
+
+    def _wait(self, proc: subprocess.Popen, timeout: float) -> bool:
+        """Read the child's pipes to EOF, so that it never blocks on a full
+        one, then wait for it to exit, all within `timeout` seconds. True if
+        it exited."""
+        deadline = time.monotonic() + timeout
+        while self._pipes and (remaining := deadline - time.monotonic()) > 0:
+            self._pump(remaining)
+        try:
+            proc.wait(max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            return False
+        return True
+
+    def _exit_failure(self, proc: subprocess.Popen, when: str = "") -> ProgramFailure:
+        """The failure of a child that exited or closed its stdout, with the
+        rest of its stderr; one still running after the timeout is stopped."""
+        if not self._wait(proc, self.timeout):
+            self._shutdown()
+        return ProgramFailure(
+            f"{self.name!r}: process exited with code {proc.returncode}{when}",
+            stderr=self._stderr_excerpt(),
         )
-        for reader in self._readers:
-            reader.start()
 
     def _stderr_excerpt(self) -> str:
         return b"".join(self._stderr_tail).decode("utf-8", errors="replace")
@@ -358,17 +409,6 @@ class CommandProgram(Program):
                 stderr=self._stderr_excerpt(),
             )
         return token
-
-    def _unsolicited_line(self) -> bytes | None:
-        """A line that is queued while no request is in flight, so no
-        request asked for it. An EOF marker stays queued for the reply read."""
-        try:
-            raw = self._lines.get_nowait()
-        except queue.Empty:
-            return None
-        if raw is None:
-            self._lines.put(None)
-        return raw
 
     def _call(self, inputs: InputTuple) -> str:
         if self.session:
@@ -408,11 +448,13 @@ class CommandProgram(Program):
             while len(requests) < _WINDOW:
                 try:
                     inputs = carry.pop() if carry else next(order)
-                    self._check_inputs(inputs)
+                    hit = self._memo_has(inputs, asked)
+                    if not hit:
+                        self._check_inputs(inputs)
                 except Exception as exc:  # StopIteration too: the end of `order`
                     stop = exc
                     break
-                if self.cache_enabled and (inputs in asked or inputs in self._record):
+                if hit:
                     window.append((inputs, False))
                     continue
                 line = self._request_line(inputs)
@@ -438,30 +480,26 @@ class CommandProgram(Program):
 
     def _send(self, requests: list[bytes], owner: object | None = None) -> None:
         """Write `requests` with one write and flush. Replies that an earlier
-        stream left unread are discarded first; a line still queued after
-        that came unasked."""
+        stream left unread are discarded first; a line the child has sent
+        after that came unasked."""
         if self._in_flight:
             self._discard_in_flight()
         if self._proc is None:
             self._spawn()
         proc = self._proc
-        assert proc is not None
         if proc.poll() is not None:
-            raise ProgramFailure(
-                f"{self.name!r}: process exited with code {proc.returncode}",
-                stderr=self._stderr_excerpt(),
-            )
+            raise self._exit_failure(proc)
         # One reply line per request: a line that came unasked would be read
         # as the reply to this request and shift every later output by one.
-        stray = self._unsolicited_line()
-        if stray is not None:
+        self._pump(0)
+        if self._lines:
+            stray = self._lines[0]
             self._shutdown()
             raise ProgramFailure(
                 f"{self.name!r}: unsolicited output line {stray!r}",
                 stderr=self._stderr_excerpt(),
             )
         try:
-            assert proc.stdin is not None
             proc.stdin.write(b"".join(requests))
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
@@ -479,27 +517,16 @@ class CommandProgram(Program):
                 f"{self.name!r}: the replies this stream waits for were discarded "
                 "by a later request"
             )
-        try:
-            raw = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            self._shutdown()
-            raise ProgramFailure(
-                f"{self.name!r}: timed out after {self.timeout}s waiting for a reply",
-                stderr=self._stderr_excerpt(),
-            ) from None
+        raw = self._next_line(time.monotonic() + self.timeout)
         if raw is None:
-            self._in_flight = 0
-            proc = self._proc
-            assert proc is not None
-            try:
-                code = proc.wait(timeout=self.timeout)
-            except subprocess.TimeoutExpired:
+            if self._stdout in self._pipes:
                 self._shutdown()
-                code = proc.returncode
-            raise ProgramFailure(
-                f"{self.name!r}: process exited with code {code} before replying",
-                stderr=self._stderr_excerpt(),
-            )
+                raise ProgramFailure(
+                    f"{self.name!r}: timed out after {self.timeout}s waiting for a reply",
+                    stderr=self._stderr_excerpt(),
+                )
+            self._in_flight = 0
+            raise self._exit_failure(self._proc, " before replying")
         self._in_flight -= 1
         return self._parse_reply(raw)
 
@@ -509,11 +536,7 @@ class CommandProgram(Program):
         them is not raised: the child is shut down instead."""
         deadline = time.monotonic() + self.timeout
         while self._in_flight:
-            try:
-                raw = self._lines.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
-                raw = None
-            if raw is None:
+            if self._next_line(deadline) is None:
                 self._shutdown()
                 return
             self._in_flight -= 1
@@ -560,39 +583,25 @@ class CommandProgram(Program):
             )
 
     def _shutdown(self, grace: float = 0.0) -> list[bytes]:
-        """Close the child's stdin, give it `grace` seconds to exit, stop it
-        and close its pipes; return the lines it sent that no reply read
-        took."""
+        """Close the child's stdin, give it `grace` seconds to exit while its
+        pipes are read, stop it and close its pipes; return the lines it sent
+        that no reply read took."""
         proc = self._proc
         if proc is None:
             return []
         self._proc = None
         self._in_flight = 0
         try:
-            if proc.stdin is not None:
-                proc.stdin.close()
+            proc.stdin.close()
         except OSError:
             pass
-        try:
-            proc.wait(timeout=grace)
-        except subprocess.TimeoutExpired:
+        if not self._wait(proc, grace):
             proc.terminate()
-            try:
-                proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
+            if not self._wait(proc, 2):
                 proc.kill()
+                self._wait(proc, 2)
                 proc.wait()
-        # A reader ends at EOF, which a grandchild still holding the pipe can
-        # delay; its pipe is closed only once the reader is done with it.
-        for reader, pipe in zip(self._readers, (proc.stdout, proc.stderr)):
-            reader.join(timeout=2)
-            if not reader.is_alive():
-                pipe.close()
-        leftover = []
-        while True:
-            try:
-                raw = self._lines.get_nowait()
-            except queue.Empty:
-                return leftover
-            if raw is not None:
-                leftover.append(raw)
+        # Closed also while a grandchild still holds them.
+        proc.stdout.close()
+        proc.stderr.close()
+        return list(self._lines)

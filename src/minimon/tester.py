@@ -196,7 +196,7 @@ def run_test(
     for event in stream(program, "observe", order):
         verdict = monitor.step(event)
         events.append(event)
-        if verdict.conclusive:
+        if verdict is not Verdict.UNKNOWN:
             return TestReport(
                 verdict,
                 monitor.witness,

@@ -318,7 +318,12 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
     LF, is decoded by the JSON scanner alone; every other line (leading or
     trailing whitespace, CR, blank, invalid) goes through json.loads, which
     gives the same value or the error message."""
-    for line_no, line in enumerate(lines, start=1):
+    return _json_numbered(enumerate(lines, start=1))
+
+
+def _json_numbered(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, object]]:
+    """json_lines() over (line_number, line) pairs."""
+    for line_no, line in numbered:
         try:
             obj, end = _scan_once(line, 0)
             exact = end == len(line) or line[end:] == "\n"
@@ -457,15 +462,18 @@ def serialize_trace(trace: Trace) -> str:
 
 def parse_input_lines(text: str) -> list[InputTuple]:
     """Parse an inputs file: JSONL with an "in" array per line; an extra "out"
-    field is tolerated so recorded traces replay as input streams."""
-    inputs: list[InputTuple] = []
-    for line_no, obj in json_lines(text.split("\n")):
+    field is tolerated so recorded traces replay as input streams. A line
+    equal to an earlier accepted one gives its tuple without a decode."""
+    lines = text.split("\n")
+    accepted: dict[str, InputTuple] = {}  # line text -> its input tuple
+    new = ((n, line) for n, line in enumerate(lines, start=1) if line not in accepted)
+    for line_no, obj in _json_numbered(new):
         if type(obj) is dict and (len(obj) == 1 or len(obj) == 2 and "out" in obj):
             raw = obj.get("in")
             if type(raw) is list and raw and _all_tokens(raw):
-                inputs.append(tuple(raw))
+                accepted[lines[line_no - 1]] = tuple(raw)
                 continue
         if not isinstance(obj, dict) or "in" not in obj or not set(obj) <= {"in", "out"}:
             raise ParseError('expected an object with an "in" array', line=line_no)
-        inputs.append(token_array(obj, "in", line_no))
-    return inputs
+        accepted[lines[line_no - 1]] = token_array(obj, "in", line_no)
+    return list(filter(None, map(accepted.get, lines)))  # drops blank lines

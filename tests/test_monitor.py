@@ -4,6 +4,7 @@ and agreement between incremental stepping and whole-trace evaluation."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +146,66 @@ def test_arity_mismatch_rejected():
 
 def test_empty_trace_is_unknown():
     assert monitor_eval(MONO, Trace()) == (Verdict.UNKNOWN, None)
+
+
+@pytest.mark.parametrize(
+    "domain, bad, error, message",
+    [
+        (InputDomain([("1", "2")]), ("7",), InputOutsideDomain, "input ('7',) at position 1 is outside"),
+        (InputDomain([("1", "2")]), ("1", "2"), ValueError, "event has arity 2, monitor expects 1"),
+        (None, ("1", "2"), ValueError, "event has arity 2, monitor expects 1"),
+    ],
+)
+def test_refused_input_is_recorded_nowhere(domain, bad, error, message):
+    """An input is checked at its first occurrence; a refused one leaves no
+    record, also where a reader made one, so it is refused again, and a
+    valid input after it still steps."""
+    mon = Monitor(MonitorConfig(Mode.MONOLITHIC, domain))
+    mon.step_io(("1",), "a")
+    for reader in (False, False, True):  # a reader records at the position first
+        if reader:
+            mon.first_seen[bad] = ("b", 1)
+        with pytest.raises(error, match=re.escape(message)):
+            mon.step_io(bad, "b")
+        assert mon.first_seen == {("1",): ("a", 0)}
+        assert mon.events_seen == 1
+    assert mon.step_io(("2",), "a") is Verdict.FALSE
+    assert (mon.witness.index_a, mon.witness.index_b) == (0, 1)
+
+
+def _counted(name: str):
+    def operation(self, *args):
+        self.operations += 1
+        return getattr(dict, name)(self, *args)
+    return operation
+
+
+class _CountingDict(dict):
+    """A dict that counts the operations on its keys."""
+
+    operations = 0
+    get = _counted("get")
+    setdefault = _counted("setdefault")
+    __contains__ = _counted("__contains__")
+    __getitem__ = _counted("__getitem__")
+    __setitem__ = _counted("__setitem__")
+    __delitem__ = _counted("__delitem__")
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_one_record_operation_per_event(mode):
+    """step_io() makes one dictionary operation per event: on a new input,
+    on a repeat, and on an input a reader recorded at its position first."""
+    mon = Monitor(MonitorConfig(mode, InputDomain([("0", "1", "2"), ("0", "1")])))
+    mon.first_seen = record = _CountingDict()
+    events = [(("0", "0"), "a"), (("1", "0"), "b"), (("0", "0"), "a"), (("2", "1"), "c"), (("1", "0"), "b")]
+    for inputs, output in events:
+        mon.step_io(inputs, output)
+    assert record.operations == len(events)
+    dict.setdefault(record, ("2", "0"), ("d", len(events)))  # as trace.io_records does
+    assert mon.step_io(("2", "0"), "d") is Verdict.UNKNOWN
+    assert record.operations == len(events) + 1
+    assert mon.first_occurrences([0, 1, 3, 5]) == [events[0], events[1], events[3], (("2", "0"), "d")]
 
 
 class TestAgainstWholeTraceSemantics:

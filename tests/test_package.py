@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import minimon
+
+from helpers import mod_worker
 
 PUBLIC_NAMES = [
     "BudgetExceeded", "BuiltinProgram", "CollisionWitness", "CommandProgram",
@@ -134,3 +137,23 @@ def test_builtin_and_table_commands_start_no_child_machinery(inputs, args, stdou
     assert (result.returncode, result.stdout) == (0, stdout), result.stderr
     assert "minimon.tester" in modules
     assert modules & {"minimon.minimiser", *CHILD_MODULES} == set()
+
+
+@pytest.mark.parametrize(
+    "args, stdout",
+    [
+        (["test", "--strategy", "lex"], "TRUE\nsteps: 4 of 4\n"),
+        (["monitor", "--random", "--max-steps", "2"], "1\t1,1\to11\tUNKNOWN\n2\t0,1\to1\tUNKNOWN\n"),
+    ],
+    ids=["test", "monitor"],
+)
+def test_exec_commands_read_replies_without_a_queue(inputs, args, stdout):
+    """An exec: session polls its child's pipes itself: no reader thread
+    hands it lines through a queue."""
+    program = "exec:" + shlex.join(mod_worker(1000, 10))
+    result, modules = run_cli_bare(
+        *args, "--program", program, "--domain", inputs["domain"], "--mode", "mono"
+    )
+    assert result.stdout == stdout, result.stderr
+    assert "subprocess" in modules
+    assert "queue" not in modules

@@ -239,13 +239,16 @@ BENEFITS_SERVER = """\
 """
 
 
-# Echoes "r<input>", but answers "b" with a second, unsolicited line.
+# Echoes "r<input>", but answers "b" with a second, unsolicited line; then
+# creates the file named by its argument, when it has one.
 CHATTY_ECHO = """\
     import sys
     for line in sys.stdin:
         v = line.rstrip("\\n")
         sys.stdout.write("r" + v + ("\\nextra\\n" if v == "b" else "\\n"))
         sys.stdout.flush()
+        if v == "b" and len(sys.argv) > 1:
+            open(sys.argv[1], "w").close()
 """
 
 
@@ -299,7 +302,7 @@ class TestCommandProgram:
 
     def test_session_recovers_after_timeout(self, tmp_path):
         """A timed-out child is replaced by a fresh one whose replies are read
-        from its own queue, so the next call neither hangs nor misreads."""
+        from its own pipes, so the next call neither hangs nor misreads."""
         argv = _write_script(
             tmp_path,
             "slow_echo.py",
@@ -344,12 +347,13 @@ class TestCommandProgram:
     def test_extra_line_before_request_fails(self, tmp_path):
         """A line the worker sends unasked is never taken as the reply to
         the next request."""
-        argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
+        sent = tmp_path / "extra-sent"
+        argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO) + [str(sent)]
         with CommandProgram(argv, arity=1) as program:
             assert program.evaluate(("a",)) == "ra"
             assert program.evaluate(("b",)) == "rb"
             deadline = time.monotonic() + 5
-            while program._lines.empty() and time.monotonic() < deadline:
+            while not sent.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             with pytest.raises(ProgramFailure, match="unsolicited output line b'extra"):
                 program.evaluate(("c",))
@@ -416,6 +420,61 @@ class TestCommandProgram:
         with CommandProgram(["/no/such/binary"], arity=1) as program:
             with pytest.raises(ProgramFailure):
                 program.evaluate(("1",))
+
+    def test_stderr_flood_neither_blocks_nor_loses_the_last_lines(self, tmp_path):
+        """1 MiB of stderr before each reply: both pipes are read while a
+        reply is awaited, and the child's last stderr line is in the
+        failure."""
+        argv = _write_script(
+            tmp_path,
+            "flood.py",
+            """\
+            import sys
+            for n, line in enumerate(sys.stdin):
+                sys.stderr.write(("x" * 1023 + "\\n") * 1024)
+                sys.stderr.flush()
+                if n == 3:
+                    sys.stderr.write("last words\\n")
+                    sys.exit(5)
+                sys.stdout.write("r" + line)
+                sys.stdout.flush()
+            """,
+        )
+        with CommandProgram(argv, arity=1, timeout=5) as program:
+            assert [program.evaluate((v,)) for v in "ab"] == ["ra", "rb"]
+            got, error = _pull(program.evaluate_all([("c",), ("d",), ("e",)]))
+        assert got == ["rc"]
+        assert isinstance(error, ProgramFailure)
+        assert "exited with code 5 before replying" in str(error)
+        assert error.stderr == ("x" * 1023 + "\n") * 49 + "last words\n"
+
+    def test_session_starts_no_thread(self):
+        before = threading.active_count()
+        with CommandProgram(mod_worker(1000, 10), arity=1) as program:
+            order = [(str(n),) for n in range(200)]
+            assert list(program.evaluate_all(order)) == [f"o{n}" for n in range(200)]
+            assert program.evaluate(("7",)) == "o7"
+            assert threading.active_count() == before
+        assert threading.active_count() == before
+
+    def test_child_that_closes_stdout_fails_within_the_timeout(self, tmp_path):
+        """A child that closes stdout and keeps running is stopped once the
+        timeout has passed; the failure names its exit code."""
+        argv = _write_script(
+            tmp_path,
+            "mute.py",
+            """\
+            import os, sys, time
+            sys.stdin.readline()
+            os.close(1)
+            time.sleep(30)
+            """,
+        )
+        with CommandProgram(argv, arity=1, timeout=0.5) as program:
+            start = time.monotonic()
+            with pytest.raises(ProgramFailure, match="exited with code -15 before replying"):
+                program.evaluate(("1",))
+            assert time.monotonic() - start < 0.5 + 2
 
 
 def _pull(stream) -> tuple[list, BaseException | None]:
@@ -545,6 +604,52 @@ class TestPipeline:
         got, error = _pull(program.observe_all(order))
         assert got == [Event(("0", "1"), "1"), Event(("1", "1"), "0")]
         assert isinstance(error, ProgramFailure)
+
+
+# Inputs that no program accepts, with the ValueError they raise.
+_BAD_INPUTS = [
+    (["1", "2"], "input event must be a non-empty tuple, got ['1', '2']"),
+    (("1", ["2"]), "not a valid value token: ['2']"),
+    (("1",), "program {name!r} has arity 2, got 1 coordinates"),
+]
+
+
+def _o2(cache: bool, kind: str):
+    """A program of arity 2 that maps ("1", "2") to "o12"."""
+    if kind == "builtin":
+        return BuiltinProgram("o2", 2, lambda i: "o" + "".join(i), cache=cache)
+    return CommandProgram(mod_worker(1000, 10), arity=2, cache=cache)
+
+
+@pytest.mark.parametrize("bad, message", _BAD_INPUTS)
+@pytest.mark.parametrize("kind", ["builtin", "exec"])
+@pytest.mark.parametrize("cache", [True, False])
+def test_bad_input_fails_as_ever_after_a_memo_hit(cache, kind, bad, message):
+    """The memo is looked up before the input check; an input it cannot
+    serve is still checked, with the same error."""
+    with _o2(cache, kind) as program:
+        expected = message.format(name=program.name)
+        assert program.evaluate(("1", "2")) == program.evaluate(("1", "2")) == "o12"
+        with pytest.raises(ValueError) as exc:
+            program.evaluate(bad)
+        assert (type(exc.value), str(exc.value)) == (ValueError, expected)
+        got, error = _pull(program.evaluate_all([("1", "2"), bad, ("1", "2")]))
+        assert got == ["o12"]
+        assert (type(error), str(error)) == (ValueError, expected)
+
+
+@pytest.mark.parametrize("kind", ["builtin", "exec"])
+@pytest.mark.parametrize("cache", [True, False])
+def test_each_distinct_input_is_checked_once(monkeypatch, cache, kind):
+    """With the cache on, a memo hit (also on an input still in flight) is
+    not checked again; with it off, every input is."""
+    checked = []
+    check = programs.check_input_tuple
+    monkeypatch.setattr(programs, "check_input_tuple", lambda i: checked.append(i) or check(i))
+    order = [("1", "2"), ("3", "4"), ("1", "2"), ("1", "2"), ("3", "4")]
+    with _o2(cache, kind) as program:
+        assert list(program.evaluate_all(order)) == [program.evaluate(i) for i in order]
+    assert checked == (order[:2] if cache else order * 2)
 
 
 class _OrderBroke(Exception):

@@ -439,3 +439,27 @@ def test_readers_match_reference_readers(io_text, inputs_text, table_text):
             return table.mapping, table.arity
 
         assert _outcome(read_table) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_jsonl({"in": True}), data=st.data())
+def test_repeated_input_lines_match_the_reference_reader(text, data):
+    """An inputs file whose lines repeat, bad and blank ones among them,
+    reads as the reference reads it, at the first faulty line; equal
+    accepted lines give one tuple object."""
+    lines = data.draw(st.lists(st.sampled_from(text.split("\n") + [""]), max_size=24))
+    repeated = "\n".join(lines)
+    outcome = _outcome(lambda: parse_input_lines(repeated))
+    assert outcome == _outcome(lambda: ref_input_lines(lines))
+    if isinstance(outcome, list):
+        by_line = {}
+        for line, inputs in zip([line for line in lines if line.strip()], outcome):
+            assert by_line.setdefault(line, inputs) is inputs
+
+
+def test_repeated_bad_input_line_is_reported_at_its_first_line():
+    text = '{"in":["1"]}\n\n{"in":["1"]}\n{"in":[1]}\n{"in":["2"]}\n{"in":[1]}\n'
+    with pytest.raises(ParseError) as exc:
+        parse_input_lines(text)
+    assert (str(exc.value), exc.value.line) == ('line 4: invalid token in "in": 1', 4)
+    assert parse_input_lines(text.replace("[1]", '["1"]')) == [("1",)] * 3 + [("2",), ("1",)]
