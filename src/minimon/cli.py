@@ -31,6 +31,8 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 _EXIT_BY_VERDICT = {Verdict.TRUE: EXIT_TRUE, Verdict.FALSE: EXIT_FALSE, Verdict.UNKNOWN: EXIT_UNKNOWN}
+# Verdict.value is a descriptor lookup; monitor prints the text on every step.
+_TEXT_BY_VERDICT = {verdict: verdict.value for verdict in Verdict}
 _MODES = {"mono": Mode.MONOLITHIC, "sdist": Mode.STRONG_DISTRIBUTED}
 # test --strategy: the name of the `tester` constant for each.
 _STRATEGIES = {"rand": "RANDOM_PERMUTATION", "lex": "LEXICOGRAPHIC"}
@@ -168,10 +170,10 @@ def cmd_monitor(args) -> int:
     program = _load_composed(args, arity)
     monitor = Monitor(MonitorConfig(_MODES[args.mode], domain))
     with program:
-        events = program.observe_all(itertools.islice(stream, max(args.max_steps, 0)))
-        for step_no, event in enumerate(events, start=1):
-            verdict = monitor.step(event)
-            print(f"{step_no}\t{','.join(event.inputs)}\t{event.output}\t{verdict.value}")
+        pairs = program.pairs(itertools.islice(stream, max(args.max_steps, 0)))
+        for step_no, (observed, output) in enumerate(pairs, start=1):
+            verdict = monitor.step_io(observed, output)
+            print(f"{step_no}\t{','.join(observed)}\t{output}\t{_TEXT_BY_VERDICT[verdict]}")
             if verdict is not Verdict.UNKNOWN:
                 break
     if monitor.witness is not None:

@@ -108,7 +108,7 @@ def synthesize(
                 f"it must visit each of the domain's {domain.size} inputs exactly once"
             )
     classes: dict[str, list[InputTuple]] = {}
-    for inputs, out in zip(visitation, stream(program, "evaluate", visitation)):
+    for inputs, (_, out) in zip(visitation, stream(program, visitation)):
         classes.setdefault(out, []).append(inputs)
 
     if kind == "rand":
@@ -170,7 +170,7 @@ def validate_preprocessor(
             raise InputOutsideDomain(
                 f"table is not total on the domain: no entry for {inputs}"
             )
-    outputs = dict(zip(order, stream(program, "evaluate", order)))
+    outputs = {inputs: out for inputs, (_, out) in zip(order, stream(program, order))}
     failures: list[ValidationFailure] = []
     pre_ok = True
     flagged_targets: set[InputTuple] = set()
@@ -242,12 +242,9 @@ class ComposedProgram(Program):
     def observe(self, inputs: InputTuple) -> Event:
         return self.program.observe(self.table.apply(inputs))
 
-    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
+    def pairs(self, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
         """The inner program's stream over the pre-processed inputs."""
-        return self.program.evaluate_all(map(self.table.apply, order))
-
-    def observe_all(self, order: Iterable[InputTuple]) -> Iterator[Event]:
-        return self.program.observe_all(map(self.table.apply, order))
+        return self.program.pairs(map(self.table.apply, order))
 
     def close(self) -> None:
         self.program.close()

@@ -29,19 +29,11 @@ from .trace import (
     iter_io_lines,
 )
 
-# An exec: session stream keeps at most this many requests in flight, in at
+# An exec: program's stream keeps at most this many requests in flight, in at
 # most this many bytes of request text: Linux's smallest pipe capacity, so
 # writing a window never blocks on a child that stopped reading.
 _WINDOW = 64
 _WINDOW_BYTES = 4096
-
-
-def _import_child_modules() -> None:
-    """Bind the modules that only a child process needs, on its first start,
-    so that builtin and table programs never import them."""
-    global select, subprocess
-    import select
-    import subprocess
 
 
 class Program:
@@ -101,17 +93,22 @@ class Program:
         """The event a monitor attached to this program sees for `inputs`."""
         return _checked_event(inputs, self.evaluate(inputs))
 
-    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
-        """evaluate() of each input of `order`, yielded in order.
+    def pairs(self, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
+        """(observed inputs, output) for each input of `order`, yielded in
+        order: what observe() gives, without the Event.
 
         A handle may send inputs ahead of the consumer. It still gives what
         one evaluate() call per input gives, each error included, at the same
         input; a consumer may stop at any point."""
-        return map(self.evaluate, order)
+        return ((inputs, self.evaluate(inputs)) for inputs in order)
+
+    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
+        """evaluate() of each input of `order`, as pairs() gives it."""
+        return (output for _, output in self.pairs(order))
 
     def observe_all(self, order: Iterable[InputTuple]) -> Iterator[Event]:
-        """observe() of each input of `order`, as evaluate_all() gives it."""
-        return map(self.observe, order)
+        """observe() of each input of `order`, as pairs() gives it."""
+        return itertools.starmap(_checked_event, self.pairs(order))
 
     def _call(self, inputs: InputTuple) -> str:
         raise NotImplementedError
@@ -129,14 +126,13 @@ class Program:
         return f"{type(self).__name__}({self.name!r}, arity={self.arity})"
 
 
-def stream(program, method: str, order: Iterable[InputTuple]) -> Iterator:
-    """`program.<method>_all(order)` for method "evaluate" or "observe". A
-    handle that has only the one-input method, such as a wrapper around a
-    Program, is called once per input."""
-    batch = getattr(program, method + "_all", None)
-    if batch is not None:
-        return batch(order)
-    return map(getattr(program, method), order)
+def stream(program, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
+    """`program.pairs(order)`. A handle without pairs(), such as a wrapper
+    around a Program, is observed once per input."""
+    pairs = getattr(program, "pairs", None)
+    if pairs is not None:
+        return pairs(order)
+    return ((e.inputs, e.output) for e in map(program.observe, order))
 
 
 class BuiltinProgram(Program):
@@ -277,29 +273,20 @@ def save_table(mapping: dict[InputTuple, str], path: str) -> None:
 class CommandProgram(Program):
     """External executable driven over the tab/LF line protocol.
 
-    Session mode (default) keeps one child process. evaluate() sends one
-    request line and waits for its reply; evaluate_all() and observe_all(),
-    which every driver uses, keep up to 64 requests in flight, written as
-    one batch, and read the replies in order, so the child must read its
-    requests as a stream and answer each in turn. A session reads the
+    One child process serves every call until close(). evaluate() sends one
+    request line and waits for its reply; pairs(), which every driver
+    streams through, keeps up to 64 requests in flight, written as one
+    batch, and reads the replies in order, so the child must read its
+    requests as a stream and answer each in turn. The handle reads the
     replies itself, with poll() on the child's stdout and stderr (POSIX), so
-    it starts no reader thread. Per-call mode spawns a fresh process per
-    input. Replies must arrive within `timeout` seconds.
+    it starts no reader thread. Replies must arrive within `timeout` seconds.
     """
 
-    def __init__(
-        self,
-        argv: list[str],
-        arity: int,
-        session: bool = True,
-        timeout: float = 10.0,
-        cache: bool = True,
-    ):
+    def __init__(self, argv: list[str], arity: int, timeout: float = 10.0, cache: bool = True):
         if not argv:
             raise ValueError("argv must not be empty")
         super().__init__(arity, " ".join(argv), cache)
         self.argv = list(argv)
-        self.session = session
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         # Requests written whose replies are unread, and the stream that
@@ -308,7 +295,12 @@ class CommandProgram(Program):
         self._owner: object | None = None
 
     def _spawn(self) -> None:
-        _import_child_modules()
+        # Bound on the first start, so that builtin and table programs never
+        # import the modules only a child process needs.
+        global select, subprocess
+        import select
+        import subprocess
+
         try:
             proc = subprocess.Popen(
                 self.argv,
@@ -411,32 +403,20 @@ class CommandProgram(Program):
         return token
 
     def _call(self, inputs: InputTuple) -> str:
-        if self.session:
-            self._send([self._request_line(inputs)])
-            return self._receive()
-        return self._call_once(inputs)
+        self._send([self._request_line(inputs)])
+        return self._receive()
 
-    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
-        if not self.session:
-            return super().evaluate_all(order)
-        return (output for _, output in self._pipeline(iter(order)))
-
-    def observe_all(self, order: Iterable[InputTuple]) -> Iterator[Event]:
-        if not self.session:
-            return super().observe_all(order)
-        return itertools.starmap(_checked_event, self._pipeline(iter(order)))
-
-    def _pipeline(self, order: Iterator[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
-        """(inputs, output) for each input of `order`, for the session
-        evaluate_all() and observe_all(): each window of requests goes out in
-        one write once the consumer reaches its first request, and each reply
-        is read when the consumer reaches its input.
+    def pairs(self, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
+        """Program.pairs(), with requests sent ahead: each window of
+        requests goes out in one write once the consumer reaches its first
+        request, and each reply is read when the consumer reaches its input.
 
         A memo hit sends nothing, also on an input whose request is still in
         flight. An input that fails its check, or an error raised while
         pulling it from `order`, ends the window and is raised once the
         inputs before it are consumed. Replies the consumer leaves unread
         are discarded by the next request or by close()."""
+        order = iter(order)
         owner = object()
         carry: list[InputTuple] = []  # the input that overflowed the last window
         while True:
@@ -540,34 +520,6 @@ class CommandProgram(Program):
                 self._shutdown()
                 return
             self._in_flight -= 1
-
-    def _call_once(self, inputs: InputTuple) -> str:
-        _import_child_modules()
-        try:
-            done = subprocess.run(
-                self.argv,
-                input=self._request_line(inputs),
-                capture_output=True,
-                timeout=self.timeout,
-            )
-        except subprocess.TimeoutExpired:
-            raise ProgramFailure(
-                f"{self.name!r}: timed out after {self.timeout}s"
-            ) from None
-        except OSError as exc:
-            raise ProgramFailure(f"cannot start {self.name!r}: {exc}") from exc
-        stderr = done.stderr.decode("utf-8", errors="replace")
-        if done.returncode != 0:
-            raise ProgramFailure(
-                f"{self.name!r}: process exited with code {done.returncode}",
-                stderr=stderr,
-            )
-        if done.stdout.count(b"\n") != 1:
-            raise ProgramFailure(
-                f"{self.name!r}: expected exactly one reply line, got {done.stdout!r}",
-                stderr=stderr,
-            )
-        return self._parse_reply(done.stdout)
 
     def close(self) -> None:
         """Stop the child once it has answered what was sent and exited, or

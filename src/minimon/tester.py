@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, DomainMismatch
 from .monitor import Monitor, MonitorConfig, Verdict
 from .programs import stream
 from .properties import Mode, Witness, least_collision
-from .trace import Event, InputDomain, InputTuple, Trace
+from .trace import Event, InputDomain, InputTuple, Trace, _checked_event
 
 RANDOM_PERMUTATION = "random-permutation"
 LEXICOGRAPHIC = "lexicographic"
@@ -68,7 +68,8 @@ def build_table(program, domain: InputDomain) -> FunctionTable:
     check_arity(program, domain)
     check_budget(domain.size, "table needs {} probes")
     order = list(domain.enumerate())
-    return FunctionTable(domain, dict(zip(order, stream(program, "evaluate", order))))
+    pairs = zip(order, stream(program, order))
+    return FunctionTable(domain, {inputs: out for inputs, (_, out) in pairs})
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def run_test(
         random.Random(seed).shuffle(order)
     monitor = Monitor(MonitorConfig(mode, domain))
     events: list[Event] = []
-    for event in stream(program, "observe", order):
+    for event in itertools.starmap(_checked_event, stream(program, order)):
         verdict = monitor.step(event)
         events.append(event)
         if verdict is not Verdict.UNKNOWN:

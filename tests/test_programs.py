@@ -22,10 +22,12 @@ from minimon import (
     TableProgram,
     UnknownBuiltin,
     Verdict,
+    build_table,
     compose,
     make_builtin,
     run_test,
     synthesize,
+    validate_preprocessor,
 )
 from minimon import programs
 from minimon.programs import BuiltinProgram, CommandProgram, save_table
@@ -261,14 +263,6 @@ class TestCommandProgram:
             assert program.evaluate(("11000",)) == "false"
             assert program.evaluate(("9999",)) == "true"
         assert marker.read_text().count("started") == 1
-
-    def test_per_call_mode_respawns(self, tmp_path):
-        marker = tmp_path / "starts.txt"
-        argv = _write_script(tmp_path, "benefits.py", BENEFITS_SERVER) + [str(marker)]
-        with CommandProgram(argv, arity=1, session=False, cache=False) as program:
-            assert program.evaluate(("5000",)) == "true"
-            assert program.evaluate(("11000",)) == "false"
-        assert marker.read_text().count("started") == 2
 
     def test_tab_joined_request_framing(self, tmp_path):
         argv = _write_script(
@@ -636,6 +630,9 @@ def test_bad_input_fails_as_ever_after_a_memo_hit(cache, kind, bad, message):
         got, error = _pull(program.evaluate_all([("1", "2"), bad, ("1", "2")]))
         assert got == ["o12"]
         assert (type(error), str(error)) == (ValueError, expected)
+        got, error = _pull(program.pairs([("1", "2"), bad, ("1", "2")]))
+        assert got == [(("1", "2"), "o12")]
+        assert (type(error), str(error)) == (ValueError, expected)
 
 
 @pytest.mark.parametrize("kind", ["builtin", "exec"])
@@ -672,21 +669,116 @@ _EVEN = MinimiserTable({(str(n),): (str(n - n % 2),) for n in range(200)}, 1)
     "kind", ["builtin", "table", "exec-1", "exec-64", "composed-builtin", "composed-exec"]
 )
 def test_observe_all_yields_the_events_before_an_order_error(monkeypatch, kind, k):
-    """observe_all() takes inputs from the order as it goes: an order that
-    raises at input k yields k events, then that error."""
+    """observe_all() and pairs() take inputs from the order as they go: an
+    order that raises at input k yields k observations, then that error."""
     monkeypatch.setattr(programs, "_WINDOW", 1 if kind == "exec-1" else 64)
-    if kind.endswith("builtin"):
-        program = BuiltinProgram("o", 1, lambda i: "o" + i[0])
-    elif kind == "table":
-        program = programs.TableProgram({(str(n),): f"o{n}" for n in range(200)})
-    else:
-        program = CommandProgram(mod_worker(1000, 10), arity=1)
-    if kind.startswith("composed"):
-        program = compose(program, _EVEN)
-    with program:
-        got, error = _pull(program.observe_all(_breaking_order(k)))
     observed = [(str(n),) for n in range(k)]
     if kind.startswith("composed"):
         observed = list(map(_EVEN.apply, observed))
-    assert got == [Event(i, "o" + i[0]) for i in observed]
-    assert isinstance(error, _OrderBroke) and str(error) == f"order broke at input {k}"
+    for method, want in [
+        ("observe_all", [Event(i, "o" + i[0]) for i in observed]),
+        ("pairs", [(i, "o" + i[0]) for i in observed]),
+    ]:
+        if kind.endswith("builtin"):
+            program = BuiltinProgram("o", 1, lambda i: "o" + i[0])
+        elif kind == "table":
+            program = programs.TableProgram({(str(n),): f"o{n}" for n in range(200)})
+        else:
+            program = CommandProgram(mod_worker(1000, 10), arity=1)
+        if kind.startswith("composed"):
+            program = compose(program, _EVEN)
+        with program:
+            got, error = _pull(getattr(program, method)(_breaking_order(k)))
+        assert got == want, method
+        assert isinstance(error, _OrderBroke) and str(error) == f"order broke at input {k}"
+
+
+# Sends n to n + 1 (mod 12): a composition's observed inputs are not its
+# probes, also over the table's whole range.
+_SHIFT = MinimiserTable({(str(n),): (str((n + 1) % 12),) for n in range(12)}, 1)
+
+
+class _ObserveOnly:
+    """A handle without pairs(), as a wrapper around a Program may be: only
+    arity, name, evaluate, observe and close."""
+
+    def __init__(self, program):
+        self.program = program
+        self.arity = program.arity
+        self.name = program.name
+        self.observed = 0
+
+    def evaluate(self, inputs):
+        return self.program.evaluate(inputs)
+
+    def observe(self, inputs):
+        self.observed += 1
+        return self.program.observe(inputs)
+
+    def close(self):
+        self.program.close()
+
+
+@pytest.mark.parametrize("kind", ["builtin", "composed-exec"])
+def test_drivers_observe_a_handle_without_pairs_once_per_input(kind):
+    """Every driver gives over such a handle what it gives over the program
+    itself; a composition's observe() gives the pre-processed inputs."""
+    domain = InputDomain([[str(n) for n in range(12)]])
+    table, _ = synthesize(make_builtin("loyalty"), domain)
+    results = []
+    for wrap in (lambda p: p, _ObserveOnly):
+        if kind == "builtin":
+            handle = wrap(make_builtin("loyalty"))
+        else:
+            handle = wrap(compose(CommandProgram(mod_worker(5, 10), arity=1), _SHIFT))
+        try:
+            results.append((
+                run_test(handle, domain, Mode.STRONG_DISTRIBUTED, strategy=LEXICOGRAPHIC),
+                build_table(handle, domain),
+                synthesize(handle, domain),
+                validate_preprocessor(handle, domain, table),
+            ))
+        finally:
+            handle.close()
+    assert results[0] == results[1]
+    report = results[1][0]
+    assert handle.observed == report.steps + 3 * domain.size
+    first = ("1",) if kind == "composed-exec" else ("0",)
+    assert report.verdict is Verdict.FALSE and report.trace[0].inputs == first
+
+
+# Echoes "r<input>", but answers "utf8" with a byte that is not UTF-8 and
+# "two" with two tokens.
+FAULTY_REPLIES = """\
+    import sys
+    for line in sys.stdin.buffer:
+        v = line.rstrip(b"\\n")
+        reply = {b"utf8": b"\\xff", b"two": b"a b"}.get(v, b"r" + v)
+        sys.stdout.buffer.write(reply + b"\\n")
+        sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("window", [1, 64])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("utf8", "reply is not valid UTF-8: b'\\xff\\n'"),
+        ("two", "malformed reply (expected one output token): 'a b'"),
+    ],
+)
+def test_bad_reply_fails_at_its_input(tmp_path, monkeypatch, window, fault, message):
+    """evaluate() and pairs() give the outputs before a bad reply, then the
+    reply's ProgramFailure at its input."""
+    monkeypatch.setattr(programs, "_WINDOW", window)
+    argv = _write_script(tmp_path, "faulty.py", FAULTY_REPLIES)
+    with CommandProgram(argv, arity=1) as program:
+        expected = f"{program.name!r}: {message}"
+        assert program.evaluate(("a",)) == "ra"
+        with pytest.raises(ProgramFailure) as exc:
+            program.evaluate((fault,))
+        assert str(exc.value) == expected
+    with CommandProgram(argv, arity=1) as program:
+        got, error = _pull(program.pairs([("a",), ("b",), (fault,), ("c",)]))
+    assert got == [(("a",), "ra"), (("b",), "rb")]
+    assert (type(error), str(error)) == (ProgramFailure, expected)
