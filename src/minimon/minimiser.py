@@ -10,7 +10,6 @@ minimiser by construction.
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .programs import Program, stream
 from .properties import CollisionIndex, Mode
 from .tester import check_arity, check_budget
 from .trace import (
-    Event, InputDomain, InputTuple, _all_tokens, file_lines, json_lines, token_array,
+    Event, InputDomain, InputTuple, _all_tokens, _json_tokens, file_lines, json_lines, token_array,
 )
 
 DEFAULT_SYNTH_CAP = 10**6
@@ -255,10 +254,12 @@ def compose(program: Program, table: MinimiserTable) -> ComposedProgram:
 
 
 def save_minimiser(table: MinimiserTable, path: str) -> None:
-    encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would build one per row
+    """Write a table as the JSONL lines json.dumps writes (inverse of load_minimiser)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for src, dst in table.mapping.items():
-            fh.write(encode({"from": list(src), "to": list(dst)}) + "\n")
+        fh.writelines(
+            '{"from":' + _json_tokens(src) + ',"to":' + _json_tokens(dst) + "}\n"
+            for src, dst in table.mapping.items()
+        )
 
 
 def load_minimiser(path: str) -> MinimiserTable:

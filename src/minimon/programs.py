@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import os
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -25,8 +24,8 @@ from .errors import (
     UnknownBuiltin,
 )
 from .trace import (
-    _INT_RE, Event, InputDomain, InputTuple, _checked_event, check_input_tuple, file_lines, is_token,
-    iter_io_lines,
+    _INT_RE, Event, InputDomain, InputTuple, _checked_event, _io_row, check_input_tuple, file_lines,
+    is_token, iter_io_lines,
 )
 
 # An exec: program's stream keeps at most this many requests in flight, in at
@@ -50,8 +49,8 @@ class Program:
     def evaluate(self, inputs: InputTuple) -> str:
         if self._memo_has(inputs):
             return self._record[inputs]
-        self._check_inputs(inputs)
-        return self._accept(inputs, self._call(inputs))
+        [(_, output)] = self.pairs((inputs,))
+        return output
 
     def _memo_has(self, inputs: InputTuple, asked: set[InputTuple] | tuple = ()) -> bool:
         """True iff the memo serves `inputs`: recorded or in `asked`, it passed
@@ -68,15 +67,6 @@ class Program:
             raise ValueError(
                 f"program {self.name!r} has arity {self.arity}, got {len(inputs)} coordinates"
             )
-
-    def _accept(self, inputs: InputTuple, out: str) -> str:
-        """Check `out`, a fresh output for `inputs`, as a token, then _keep()
-        it."""
-        if not is_token(out):
-            raise ProgramFailure(
-                f"program {self.name!r} produced an invalid output token: {out!r}"
-            )
-        return self._keep(inputs, out)
 
     def _keep(self, inputs: InputTuple, out: str) -> str:
         """Check `out`, a fresh output token for `inputs`, against the first
@@ -100,7 +90,17 @@ class Program:
         A handle may send inputs ahead of the consumer. It still gives what
         one evaluate() call per input gives, each error included, at the same
         input; a consumer may stop at any point."""
-        return ((inputs, self.evaluate(inputs)) for inputs in order)
+        memo_has, check, call, keep = self._memo_has, self._check_inputs, self._call, self._keep
+        record, name = self._record, self.name
+        for inputs in order:
+            if memo_has(inputs):
+                yield inputs, record[inputs]
+                continue
+            check(inputs)
+            out = call(inputs)
+            if not is_token(out):
+                raise ProgramFailure(f"program {name!r} produced an invalid output token: {out!r}")
+            yield inputs, keep(inputs, out)
 
     def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
         """evaluate() of each input of `order`, as pairs() gives it."""
@@ -266,8 +266,7 @@ class TableProgram(Program):
 def save_table(mapping: dict[InputTuple, str], path: str) -> None:
     """Write a function table as JSONL rows (inverse of TableProgram.load)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for inputs, output in mapping.items():
-            fh.write(json.dumps({"in": list(inputs), "out": output}, separators=(",", ":")) + "\n")
+        fh.writelines(itertools.starmap(_io_row, mapping.items()))
 
 
 class CommandProgram(Program):
@@ -289,8 +288,7 @@ class CommandProgram(Program):
         self.argv = list(argv)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        # Requests written whose replies are unread, and the stream that
-        # wrote them (None for a single evaluate()).
+        # Requests written whose replies are unread, and the pairs() stream that wrote them.
         self._in_flight = 0
         self._owner: object | None = None
 
@@ -377,9 +375,6 @@ class CommandProgram(Program):
     def _stderr_excerpt(self) -> str:
         return b"".join(self._stderr_tail).decode("utf-8", errors="replace")
 
-    # _parse_reply has checked every reply as a token.
-    _accept = Program._keep
-
     def _request_line(self, inputs: InputTuple) -> bytes:
         return ("\t".join(inputs) + "\n").encode("utf-8")
 
@@ -393,7 +388,8 @@ class CommandProgram(Program):
             token = raw[:-1].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProgramFailure(
-                f"{self.name!r}: reply is not valid UTF-8: {raw!r}"
+                f"{self.name!r}: reply is not valid UTF-8: {raw!r}",
+                stderr=self._stderr_excerpt(),
             ) from exc
         if not is_token(token):
             raise ProgramFailure(
@@ -401,10 +397,6 @@ class CommandProgram(Program):
                 stderr=self._stderr_excerpt(),
             )
         return token
-
-    def _call(self, inputs: InputTuple) -> str:
-        self._send([self._request_line(inputs)])
-        return self._receive()
 
     def pairs(self, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
         """Program.pairs(), with requests sent ahead: each window of
@@ -458,7 +450,7 @@ class CommandProgram(Program):
             if stop is not None:
                 raise stop
 
-    def _send(self, requests: list[bytes], owner: object | None = None) -> None:
+    def _send(self, requests: list[bytes], owner: object) -> None:
         """Write `requests` with one write and flush. Replies that an earlier
         stream left unread are discarded first; a line the child has sent
         after that came unasked."""
@@ -490,7 +482,7 @@ class CommandProgram(Program):
         self._in_flight = len(requests)
         self._owner = owner
 
-    def _receive(self, owner: object | None = None) -> str:
+    def _receive(self, owner: object) -> str:
         """The reply to the oldest request in flight."""
         if self._owner is not owner or not self._in_flight:
             raise RuntimeError(

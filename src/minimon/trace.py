@@ -25,6 +25,7 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 # The C scanner json.loads itself runs, without its wrapper: (value, end).
 _scan_once = json.JSONDecoder().scan_once
+_json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps runs on text
 
 
 def is_token(value: object) -> bool:
@@ -53,7 +54,7 @@ def check_input_tuple(coords: object) -> InputTuple:
     """Validate an input event: a non-empty tuple of value tokens."""
     if not isinstance(coords, tuple) or len(coords) == 0:
         raise ValueError(f"input event must be a non-empty tuple, got {coords!r}")
-    if not all(map(is_token, coords)):
+    if not _all_tokens(list(coords)):
         for c in coords:
             check_token(c)
     return coords
@@ -451,13 +452,19 @@ def load_trace(path: str) -> Trace:
         return _read_trace(file_lines(fh))
 
 
+def _json_tokens(tokens: Iterable[str]) -> str:
+    """`tokens` as the JSON array json.dumps writes with separators (",", ":")."""
+    return "[" + ",".join(map(_json_str, tokens)) + "]"
+
+
+def _io_row(inputs: InputTuple, output: str) -> str:
+    """A trace event or table row as the JSONL line json.dumps writes for it."""
+    return '{"in":' + _json_tokens(inputs) + ',"out":' + _json_str(output) + "}\n"
+
+
 def serialize_trace(trace: Trace) -> str:
     """Inverse of parse_trace (round-trip identity), one event per line."""
-    lines = [
-        json.dumps({"in": list(e.inputs), "out": e.output}, separators=(",", ":"))
-        for e in trace
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_io_row(e.inputs, e.output) for e in trace)
 
 
 def parse_input_lines(text: str) -> list[InputTuple]:

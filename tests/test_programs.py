@@ -649,6 +649,66 @@ def test_each_distinct_input_is_checked_once(monkeypatch, cache, kind):
     assert checked == (order[:2] if cache else order * 2)
 
 
+def _o1(cache: bool):
+    return BuiltinProgram("o", 1, lambda i: "o" + i[0], cache=cache)
+
+
+def _o1_table(cache: bool):
+    return programs.TableProgram({(str(n),): f"o{n}" for n in range(3)}, cache=cache)
+
+
+def _returning(out):
+    """A builtin that maps ("1",) to "o1" and every other input to `out`."""
+    return lambda cache: BuiltinProgram(
+        "out", 1, lambda i: "o1" if i == ("1",) else out, cache=cache
+    )
+
+
+def _flaky(cache: bool):
+    """A builtin that maps ("1",) to "o1", and ("x",) to "a" on its first
+    call and to "b" on every later one; it has answered ("x",) once."""
+    calls = []
+
+    def fn(inputs):
+        if inputs == ("1",):
+            return "o1"
+        calls.append(inputs)
+        return "a" if len(calls) == 1 else "b"
+
+    program = BuiltinProgram("flaky", 1, fn, cache=cache)
+    program.evaluate(("x",))
+    return program
+
+
+# Inputs that no program of arity 1 accepts.
+_BAD_FOR_ARITY_1 = {"list": ["1"], "empty": (), "arity": ("1", "2"), "int": (1,), "space": ("1 2",)}
+
+
+@pytest.mark.parametrize(
+    "make, bad, cache",
+    [
+        pytest.param(make, bad, cache, id=f"{make.__name__}-{label}-cache{cache:d}")
+        for make in (_o1, _o1_table)
+        for label, bad in _BAD_FOR_ARITY_1.items()
+        for cache in (True, False)
+    ]
+    + [
+        pytest.param(_returning(out), ("2",), cache, id=f"returns-{out!r}-cache{cache:d}")
+        for out in ("a b", "", 7)
+        for cache in (True, False)
+    ]
+    + [pytest.param(_flaky, ("x",), False, id="flaky-cache0")],
+)
+def test_stream_fails_at_its_input_as_evaluate_does(make, bad, cache):
+    """pairs() over [good, bad, good] yields the good output, then raises
+    the exception that evaluate(bad) raises, with the same message."""
+    with pytest.raises(Exception) as exc:
+        make(cache).evaluate(bad)
+    got, error = _pull(make(cache).pairs([("1",), bad, ("1",)]))
+    assert got == [(("1",), "o1")]
+    assert (type(error), str(error)) == (type(exc.value), str(exc.value))
+
+
 class _OrderBroke(Exception):
     pass
 
@@ -782,3 +842,23 @@ def test_bad_reply_fails_at_its_input(tmp_path, monkeypatch, window, fault, mess
         got, error = _pull(program.pairs([("a",), ("b",), (fault,), ("c",)]))
     assert got == [(("a",), "ra"), (("b",), "rb")]
     assert (type(error), str(error)) == (ProgramFailure, expected)
+
+
+def test_non_utf8_reply_carries_the_stderr_excerpt(tmp_path):
+    """A reply that is not UTF-8 fails with the child's stderr, as every
+    other reply fault does."""
+    argv = _write_script(tmp_path, "latin.py", """\
+        import sys
+        for line in sys.stdin.buffer:
+            sys.stderr.write("about to send a latin-1 byte\\n")
+            sys.stderr.flush()
+            sys.stdout.buffer.write(b"\\xff\\n")
+            sys.stdout.flush()
+    """)
+    with CommandProgram(argv, arity=1) as program:
+        with pytest.raises(ProgramFailure) as exc:
+            program.evaluate(("a",))
+    assert str(exc.value) == (
+        f"{program.name!r}: reply is not valid UTF-8: b'\\xff\\n' "
+        "[stderr: about to send a latin-1 byte]"
+    )

@@ -16,13 +16,17 @@ from minimon import (
     DeterminismViolation,
     Event,
     InputDomain,
+    MinimiserTable,
     ParseError,
+    TableProgram,
     Trace,
     load_minimiser,
     load_trace,
     parse_trace,
+    save_minimiser,
     serialize_trace,
 )
+from minimon.programs import save_table
 from minimon.trace import is_token, iter_io_lines, parse_input_lines
 
 from helpers import (
@@ -463,3 +467,50 @@ def test_repeated_bad_input_line_is_reported_at_its_first_line():
         parse_input_lines(text)
     assert (str(exc.value), exc.value.line) == ('line 4: invalid token in "in": 1', 4)
     assert parse_input_lines(text.replace("[1]", '["1"]')) == [("1",)] * 3 + [("2",), ("1",)]
+
+
+# Characters that JSON escapes (quote, backslash, controls), that it may
+# escape (slash, DEL), non-ASCII in and beyond the BMP, and whitespace.
+_WRITER_ALPHABET = ['"', "\\", "/", "\x01", "\x7f", "é", " ", "😀", "a", "B", "z"]
+
+
+def _dumps_lines(rows) -> str:
+    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arity=st.integers(1, 3),
+    data=st.data(),
+    tokens_only=st.booleans(),
+)
+def test_writers_write_what_json_dumps_writes(arity, data, tokens_only):
+    """save_minimiser, save_table and serialize_trace write, byte for byte,
+    one json.dumps line with compact separators per row; what they write of
+    value tokens reads back as it was."""
+    text = st.text(_WRITER_ALPHABET, min_size=1, max_size=4)
+    if tokens_only:
+        text = text.filter(is_token)
+    key = st.tuples(*[text] * arity)
+    pre = data.draw(st.dictionaries(key, key, min_size=1, max_size=8))
+    fn = data.draw(st.dictionaries(key, text, min_size=1, max_size=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.jsonl")
+        save_minimiser(MinimiserTable(pre, arity), path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        assert written == _dumps_lines(
+            {"from": list(src), "to": list(dst)} for src, dst in pre.items()
+        ).encode("utf-8")
+        if tokens_only:
+            assert load_minimiser(path) == MinimiserTable(pre, arity)
+        save_table(fn, path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        rows = _dumps_lines({"in": list(inputs), "out": out} for inputs, out in fn.items())
+        assert written == rows.encode("utf-8")
+        if tokens_only:
+            assert TableProgram.load(path).mapping == fn
+            trace = Trace(Event(inputs, out) for inputs, out in fn.items())
+            assert serialize_trace(trace) == rows
+            assert parse_trace(rows) == trace
