@@ -10,8 +10,9 @@ minimiser by construction.
 
 from __future__ import annotations
 
+import operator
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
@@ -60,13 +61,14 @@ class MinimiserTable:
             ) from None
 
 
-def _parse_rep_strategy(rep_strategy: str):
+def _rep_picker(rep_strategy: str) -> Callable[[list[InputTuple]], InputTuple]:
+    """The function from a class's members, in visitation order, to its representative."""
     if rep_strategy in (REP_LEAST, REP_FIRST):
-        return rep_strategy, None
+        return operator.itemgetter(0)
     if rep_strategy.startswith("rand:"):
         raw = rep_strategy[len("rand:"):]
         try:
-            return "rand", int(raw)
+            return random.Random(int(raw)).choice
         except ValueError:
             raise ValueError(f"rand strategy needs an integer seed, got {raw!r}") from None
     raise ValueError(
@@ -79,46 +81,27 @@ def synthesize(
     domain: InputDomain,
     rep_strategy: str = REP_LEAST,
     cap: int = DEFAULT_SYNTH_CAP,
-    order: Sequence[InputTuple] | None = None,
 ) -> tuple[MinimiserTable, PartitionMap]:
     """Partition the domain by output and map each input to its class
     representative.
 
-    Representatives: "least" picks each class's least element in enumeration
-    order, "first" the first one visited (identical under the default
-    enumeration-order visitation; `order` overrides visitation), "rand:SEED"
-    a seeded random member. Deterministic for a fixed strategy.
+    The domain is visited in enumeration order, so "least" (each class's
+    least element in enumeration order) and "first" (the first one visited)
+    pick the same member; "rand:SEED" picks a seeded random member.
+    Deterministic for a fixed strategy.
     """
-    kind, seed = _parse_rep_strategy(rep_strategy)
+    pick = _rep_picker(rep_strategy)
     check_arity(program, domain)
     if domain.size > cap:
         raise BudgetExceeded(
             f"domain has {domain.size} elements, synthesis cap is {cap}"
         )
-    visitation = list(domain.enumerate() if order is None else order)
-    if order is not None:
-        distinct = set(visitation)
-        if not (
-            len(visitation) == len(distinct) == domain.size
-            and all(map(domain.contains, distinct))
-        ):
-            raise ValueError(
-                f"visitation order has {len(visitation)} inputs, {len(distinct)} distinct; "
-                f"it must visit each of the domain's {domain.size} inputs exactly once"
-            )
+    visitation = list(domain.enumerate())
     classes: dict[str, list[InputTuple]] = {}
     for inputs, (_, out) in zip(visitation, stream(program, visitation)):
         classes.setdefault(out, []).append(inputs)
 
-    if kind == "rand":
-        rnd = random.Random(seed)
-        reps = {out: rnd.choice(members) for out, members in classes.items()}
-    elif kind == REP_FIRST or order is None:
-        reps = {out: members[0] for out, members in classes.items()}
-    else:
-        rank = {inputs: k for k, inputs in enumerate(domain.enumerate())}
-        reps = {out: min(members, key=rank.__getitem__) for out, members in classes.items()}
-
+    reps = {out: pick(members) for out, members in classes.items()}
     mapping = {
         inputs: reps[out] for out, members in classes.items() for inputs in members
     }

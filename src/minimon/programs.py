@@ -1,8 +1,8 @@
 """Black-box program handles: builtins, table lookups, external commands.
 
-Every handle enforces the deterministic contract: the first output observed
-for an input is recorded, and any later disagreement (possible when the memo
-cache is disabled, or across duplicate table rows) is a DeterminismViolation.
+Every handle evaluates each distinct input once, and its first output
+answers every repeat, so what a monitor observes is deterministic. A table
+file that gives one input two outputs is refused when it is loaded.
 External commands speak a line protocol, bit-exact: request = input
 coordinates joined by single tabs plus LF on stdin, reply = one LF-terminated
 output token on stdout.
@@ -36,14 +36,14 @@ _WINDOW_BYTES = 4096
 
 
 class Program:
-    """Base handle: arity, memo cache, determinism record."""
+    """Base handle: arity and memo. Each distinct input is evaluated once,
+    and its first output answers every repeat."""
 
-    def __init__(self, arity: int, name: str, cache: bool = True):
+    def __init__(self, arity: int, name: str):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.arity = arity
         self.name = name
-        self.cache_enabled = cache
         self._record: dict[InputTuple, str] = {}
 
     def evaluate(self, inputs: InputTuple) -> str:
@@ -56,7 +56,7 @@ class Program:
         """True iff the memo serves `inputs`: recorded or in `asked`, it passed
         _check_inputs() then, so a hit is not checked again."""
         try:
-            return self.cache_enabled and (inputs in self._record or inputs in asked)
+            return inputs in self._record or inputs in asked
         except TypeError:
             return False
 
@@ -67,17 +67,6 @@ class Program:
             raise ValueError(
                 f"program {self.name!r} has arity {self.arity}, got {len(inputs)} coordinates"
             )
-
-    def _keep(self, inputs: InputTuple, out: str) -> str:
-        """Check `out`, a fresh output token for `inputs`, against the first
-        output recorded for `inputs`; record and return it."""
-        recorded = self._record.setdefault(inputs, out)
-        if out != recorded:
-            raise DeterminismViolation(
-                f"program {self.name!r} returned {out!r} for {inputs} "
-                f"after previously returning {recorded!r}"
-            )
-        return out
 
     def observe(self, inputs: InputTuple) -> Event:
         """The event a monitor attached to this program sees for `inputs`."""
@@ -90,7 +79,7 @@ class Program:
         A handle may send inputs ahead of the consumer. It still gives what
         one evaluate() call per input gives, each error included, at the same
         input; a consumer may stop at any point."""
-        memo_has, check, call, keep = self._memo_has, self._check_inputs, self._call, self._keep
+        memo_has, check, call = self._memo_has, self._check_inputs, self._call
         record, name = self._record, self.name
         for inputs in order:
             if memo_has(inputs):
@@ -100,7 +89,8 @@ class Program:
             out = call(inputs)
             if not is_token(out):
                 raise ProgramFailure(f"program {name!r} produced an invalid output token: {out!r}")
-            yield inputs, keep(inputs, out)
+            record[inputs] = out
+            yield inputs, out
 
     def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
         """evaluate() of each input of `order`, as pairs() gives it."""
@@ -136,8 +126,8 @@ def stream(program, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, s
 
 
 class BuiltinProgram(Program):
-    def __init__(self, name: str, arity: int, fn: Callable[[InputTuple], str], cache: bool = True):
-        super().__init__(arity, name, cache)
+    def __init__(self, name: str, arity: int, fn: Callable[[InputTuple], str]):
+        super().__init__(arity, name)
         self._fn = fn
 
     def _call(self, inputs: InputTuple) -> str:
@@ -197,31 +187,31 @@ _BUILTINS: dict[str, tuple[int, Callable[[InputTuple], str]]] = {
 }
 
 
-def make_builtin(name: str, cache: bool = True) -> Program:
+def make_builtin(name: str) -> Program:
     """Named example program; `const:<v>` yields the constant program v."""
     if name.startswith("const:"):
         value = name[len("const:"):]
         if not is_token(value):
             raise UnknownBuiltin(f"const builtin needs a valid token, got {value!r}")
-        return BuiltinProgram(name, 1, lambda i: value, cache)
+        return BuiltinProgram(name, 1, lambda i: value)
     entry = _BUILTINS.get(name)
     if entry is None:
         known = ", ".join(sorted(_BUILTINS) + ["const:<v>"])
         raise UnknownBuiltin(f"unknown builtin {name!r} (known: {known})")
     arity, fn = entry
-    return BuiltinProgram(name, arity, fn, cache)
+    return BuiltinProgram(name, arity, fn)
 
 
 class TableProgram(Program):
     """Program backed by an explicit input -> output mapping."""
 
-    def __init__(self, mapping: dict[InputTuple, str], name: str = "table", cache: bool = True):
+    def __init__(self, mapping: dict[InputTuple, str], name: str = "table"):
         if not mapping:
             raise ValueError("table must have at least one row")
         arities = {len(k) for k in mapping}
         if len(arities) != 1:
             raise ValueError(f"table rows have mixed arities: {sorted(arities)}")
-        super().__init__(arities.pop(), name, cache)
+        super().__init__(arities.pop(), name)
         self.mapping = dict(mapping)
 
     def _call(self, inputs: InputTuple) -> str:
@@ -233,7 +223,7 @@ class TableProgram(Program):
             ) from None
 
     @classmethod
-    def load(cls, path: str, cache: bool = True) -> TableProgram:
+    def load(cls, path: str) -> TableProgram:
         rows: dict[InputTuple, tuple[str, int]] = {}  # input -> (output, first line)
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, inputs, output in iter_io_lines(file_lines(fh)):
@@ -246,7 +236,7 @@ class TableProgram(Program):
                     )
         if not rows:
             raise ParseError("table file has no rows")
-        return cls({inputs: output for inputs, (output, _) in rows.items()}, name=path, cache=cache)
+        return cls({inputs: output for inputs, (output, _) in rows.items()}, name=path)
 
     def infer_domain(self) -> InputDomain:
         """Per-source value sets of the rows, required to form a full product."""
@@ -281,10 +271,10 @@ class CommandProgram(Program):
     it starts no reader thread. Replies must arrive within `timeout` seconds.
     """
 
-    def __init__(self, argv: list[str], arity: int, timeout: float = 10.0, cache: bool = True):
+    def __init__(self, argv: list[str], arity: int, timeout: float = 10.0):
         if not argv:
             raise ValueError("argv must not be empty")
-        super().__init__(arity, " ".join(argv), cache)
+        super().__init__(arity, " ".join(argv))
         self.argv = list(argv)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
@@ -444,7 +434,8 @@ class CommandProgram(Program):
                 if requests:
                     self._send(requests, owner)
                     requests = []
-                yield inputs, self._keep(inputs, self._receive(owner))
+                out = self._record[inputs] = self._receive(owner)
+                yield inputs, out
             if isinstance(stop, StopIteration):
                 return
             if stop is not None:

@@ -27,21 +27,15 @@ DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "MINIMON_BUDGET"
 
 
-def default_budget() -> int:
+def check_budget(planned: int, need: str) -> None:
+    """BudgetExceeded when `planned` exceeds the budget: DEFAULT_BUDGET, or
+    the integer in MINIMON_BUDGET; `need` starts the message, with {} for
+    `planned`."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = DEFAULT_BUDGET if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def check_budget(planned: int, need: str, budget: int | None = None) -> None:
-    """BudgetExceeded when `planned` exceeds `budget` (default_budget() if
-    None); `need` starts the message, with {} for `planned`."""
-    if budget is None:
-        budget = default_budget()
     if planned > budget:
         raise BudgetExceeded(f"{need.format(planned)}, budget is {budget}")
 
@@ -115,21 +109,17 @@ def table_strong_dist_minimal(table: FunctionTable) -> tuple[bool, CollisionWitn
     return _table_collision(table, Mode.STRONG_DISTRIBUTED)
 
 
-def table_dist_minimal(
-    table: FunctionTable, budget: int | None = None
-) -> tuple[bool, IndistinguishablePair | None]:
+def table_dist_minimal(table: FunctionTable) -> tuple[bool, IndistinguishablePair | None]:
     """True iff for every source, every pair of its values is distinguished by
     the outputs in at least one context of the other sources.
 
     Two values are indistinguishable exactly when their full output vectors
     over all contexts are equal, so each source is checked by grouping its
     values by output vector. The scan costs arity * domain.size table lookups
-    and refuses to start past `budget` (default 10^7, env-overridable).
+    and refuses to start past the budget (default 10^7, env-overridable).
     """
     domain = table.domain
-    check_budget(
-        domain.arity * domain.size, "distributed-minimality scan needs {} table lookups", budget
-    )
+    check_budget(domain.arity * domain.size, "distributed-minimality scan needs {} table lookups")
     for j, src in enumerate(domain.sources):
         others = [s for k, s in enumerate(domain.sources) if k != j]
         groups: dict[tuple[str, ...], list[int]] = {}

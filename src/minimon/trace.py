@@ -293,7 +293,7 @@ def load_domain(path: str) -> InputDomain:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"domain file is not valid JSON: {exc}") from exc
     return InputDomain.from_dict(obj)
 
@@ -328,7 +328,7 @@ def _json_numbered(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, o
         try:
             obj, end = _scan_once(line, 0)
             exact = end == len(line) or line[end:] == "\n"
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             exact = False
         if not exact:
             if not line.strip():
@@ -337,6 +337,8 @@ def _json_numbered(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, o
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+            except RecursionError:
+                raise ParseError("invalid JSON: nesting too deep", line=line_no) from None
         yield line_no, obj
 
 

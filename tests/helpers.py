@@ -233,6 +233,8 @@ def ref_json_lines(lines):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+        except RecursionError:
+            raise ParseError("invalid JSON: nesting too deep", line=line_no) from None
         yield line_no, obj
 
 

@@ -21,14 +21,19 @@ from minimon import (
     InputDomain,
     MinimonError,
     MonitorConfig,
+    ParseError,
+    TableProgram,
+    load_domain,
     load_minimiser,
+    load_trace,
     monitor_eval,
     parse_trace,
     prefix_verdicts,
 )
 from minimon.cli import _MODES, cmd_check_trace, main
+from minimon.trace import parse_input_lines
 
-from helpers import mod_worker
+from helpers import mod_worker, ref_input_lines, ref_io_records, ref_minimiser
 
 TABLE1_TRACE = (
     '{"in":["5000"],"out":"true"}\n'
@@ -598,6 +603,12 @@ class TestErrors:
         assert result.returncode == 3
         assert "builtin:" in result.stderr
 
+    def test_invalid_domain_json_exits_3(self, files):
+        domain = files("d.json", '{"sources": [')
+        result = run_cli("test", "--program", "builtin:identity", "--domain", domain, "--mode", "mono")
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: domain file is not valid JSON: Expecting value")
+
     def test_usage_errors_exit_3(self):
         assert run_cli().returncode == 3
         assert run_cli("check-trace").returncode == 3
@@ -613,3 +624,49 @@ class TestErrors:
         )
         assert result.returncode == 3
         assert "error:" in result.stderr
+
+
+# Nested far deeper than any JSON decoder recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_json_is_a_parse_error(files):
+    """JSON nested too deep to decode is malformed input, not a verdict:
+    every reader raises ParseError, at its line as the reference readers
+    do, and every command exits 3 rather than 1 (FALSE)."""
+    io_text = '{"in":["1"],"out":"1"}\n{"in":' + _DEEP + ',"out":"a"}\n'
+    pre_text = '{"from":["1"],"to":["1"]}\n{"from":' + _DEEP + ',"to":["1"]}\n'
+    trace = files("trace.jsonl", io_text)
+    pre = files("pre.jsonl", pre_text)
+    deep_domain = files("deep.json", _DEEP)
+    readers = [
+        (lambda: load_trace(trace), ref_io_records, io_text),
+        (lambda: TableProgram.load(trace), ref_io_records, io_text),
+        (lambda: parse_input_lines(io_text), ref_input_lines, io_text),
+        (lambda: load_minimiser(pre), ref_minimiser, pre_text),
+    ]
+    for read, ref, text in readers:
+        for reader in (read, lambda: list(ref(text.split("\n")))):
+            with pytest.raises(ParseError) as exc:
+                reader()
+            assert (str(exc.value), exc.value.line) == ("line 2: invalid JSON: nesting too deep", 2)
+    with pytest.raises(ParseError, match="^domain file is not valid JSON: ") as exc:
+        load_domain(deep_domain)
+    assert exc.value.line is None
+
+    good_trace = files("good.jsonl", '{"in":["1"],"out":"1"}\n')
+    good_pre = files("good-pre.jsonl", '{"from":["1"],"to":["1"]}\n')
+    good_domain = files("d.json", '{"sources":[{"set":["1","2"]}]}')
+    program = ("--program", "builtin:identity")
+    commands = [
+        ("check-trace", "--trace", trace, "--mode", "mono"),
+        ("check-trace", "--trace", good_trace, "--mode", "mono", "--domain", deep_domain),
+        ("monitor", *program, "--mode", "mono", "--inputs", trace),
+        ("oracle", "--table", trace, "--notion", "mono"),
+        ("check-pre", *program, "--domain", deep_domain, "--pre", good_pre),
+        ("check-pre", *program, "--domain", good_domain, "--pre", pre),
+    ]
+    for command in commands:
+        result = run_cli(*command)
+        assert (result.returncode, result.stdout) == (3, ""), command
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr, command

@@ -92,26 +92,6 @@ class TestSynthesize:
         first, _ = synthesize(make_builtin("loyalty"), domain, rep_strategy="first")
         assert least.mapping == first.mapping
 
-    def test_custom_order_changes_first_but_not_least(self):
-        domain = InputDomain([[str(n) for n in range(1, 5)]])
-        program = two_case_program()
-        reversed_order = list(domain.enumerate())[::-1]
-        first, _ = synthesize(program, domain, rep_strategy="first", order=reversed_order)
-        assert first.representatives == {("4",), ("2",)}
-        least, _ = synthesize(program, domain, rep_strategy="least", order=reversed_order)
-        assert least.representatives == {("1",), ("3",)}
-
-    def test_incomplete_order_rejected(self):
-        domain = InputDomain([[str(n) for n in range(1, 5)]])
-        with pytest.raises(ValueError):
-            synthesize(two_case_program(), domain, order=[("1",), ("2",)])
-
-    @pytest.mark.parametrize("rep", ["least", "first"])
-    @pytest.mark.parametrize("order", [[("1",), ("1",)], [("1",), ("7",)], [("1",), ("2",), ("2",)]])
-    def test_order_that_is_not_a_permutation_rejected(self, order, rep):
-        with pytest.raises(ValueError, match="exactly once"):
-            synthesize(make_builtin("identity"), InputDomain([["1", "2"]]), rep_strategy=rep, order=order)
-
     def test_bad_rep_strategy(self):
         domain = InputDomain([["1", "2"]])
         for bad in ["rand:", "rand:x", "smallest"]:

@@ -51,7 +51,7 @@ def test_table1_verdict_column():
 
 def test_table1_witness():
     verdict, witness = monitor_eval(MONO, Trace(table1_events()))
-    assert verdict is Verdict.FALSE
+    assert verdict is Verdict.FALSE and verdict.conclusive and str(verdict) == "FALSE"
     assert (witness.index_a, witness.index_b) == (0, 2)
 
 
@@ -77,6 +77,7 @@ def test_xor_full_coverage_concludes_true():
     config = MonitorConfig(Mode.STRONG_DISTRIBUTED, domain)
     verdicts = prefix_verdicts(config, Trace(_xor_events()))
     assert [v.value for v in verdicts] == ["UNKNOWN", "UNKNOWN", "UNKNOWN", "TRUE"]
+    assert [(str(v), v.conclusive) for v in verdicts[2:]] == [("UNKNOWN", False), ("TRUE", True)]
 
 
 def test_no_domain_means_no_true():

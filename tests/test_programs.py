@@ -1,5 +1,5 @@
-"""Program handle tests: builtin semantics against reference tables, memo
-cache behaviour, table files, and the external line protocol."""
+"""Program handle tests: builtin semantics against reference tables, the
+memo, table files, and the external line protocol."""
 
 from __future__ import annotations
 
@@ -140,6 +140,8 @@ def test_non_bit_token_fails():
 def test_arity_checked():
     with pytest.raises(ValueError):
         make_builtin("benefits").evaluate(("1", "2"))
+    with pytest.raises(ValueError, match="^arity must be >= 1$"):
+        BuiltinProgram("nullary", 0, lambda i: "x")
 
 
 def test_observe_returns_event():
@@ -147,31 +149,16 @@ def test_observe_returns_event():
 
 
 class TestCache:
-    def _counting(self, cache: bool):
+    def test_cache_avoids_reinvocation(self):
         calls = []
 
         def fn(inputs):
             calls.append(inputs)
             return "x"
 
-        return BuiltinProgram("counted", 1, fn, cache=cache), calls
-
-    def test_cache_avoids_reinvocation(self):
-        program, calls = self._counting(cache=True)
+        program = BuiltinProgram("counted", 1, fn)
         assert program.evaluate(("1",)) == program.evaluate(("1",)) == "x"
         assert len(calls) == 1
-
-    def test_disabled_cache_reinvokes_with_same_results(self):
-        program, calls = self._counting(cache=False)
-        assert program.evaluate(("1",)) == program.evaluate(("1",)) == "x"
-        assert len(calls) == 2
-
-    def test_flaky_program_detected_when_cache_disabled(self):
-        outputs = iter(["a", "b"])
-        program = BuiltinProgram("flaky", 1, lambda i: next(outputs), cache=False)
-        assert program.evaluate(("1",)) == "a"
-        with pytest.raises(DeterminismViolation):
-            program.evaluate(("1",))
 
 
 class TestTableProgram:
@@ -208,12 +195,16 @@ class TestTableProgram:
         path.write_text('{"in":["1"],"out":"a"}\n{"in":["1","2"],"out":"a"}\n')
         with pytest.raises(ParseError):
             TableProgram.load(str(path))
+        with pytest.raises(ValueError, match=r"^table rows have mixed arities: \[1, 2\]$"):
+            TableProgram({("1",): "a", ("1", "2"): "a"})
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ParseError):
             TableProgram.load(str(path))
+        with pytest.raises(ValueError, match="^table must have at least one row$"):
+            TableProgram({})
 
     def test_infer_domain_requires_full_product(self):
         assert TableProgram(XOR_REFERENCE).infer_domain().size == 4
@@ -414,6 +405,8 @@ class TestCommandProgram:
         with CommandProgram(["/no/such/binary"], arity=1) as program:
             with pytest.raises(ProgramFailure):
                 program.evaluate(("1",))
+        with pytest.raises(ValueError, match="^argv must not be empty$"):
+            CommandProgram([], 1)
 
     def test_stderr_flood_neither_blocks_nor_loses_the_last_lines(self, tmp_path):
         """1 MiB of stderr before each reply: both pipes are read while a
@@ -469,6 +462,75 @@ class TestCommandProgram:
             with pytest.raises(ProgramFailure, match="exited with code -15 before replying"):
                 program.evaluate(("1",))
             assert time.monotonic() - start < 0.5 + 2
+
+    def test_child_that_closes_stdin_fails_the_next_write(self, tmp_path):
+        """A child that stops reading but keeps running: the next request's
+        write fails with the stderr excerpt, and close() stops the child
+        although the unwritten request cannot be flushed."""
+        argv = _write_script(
+            tmp_path,
+            "deaf.py",
+            """\
+            import os, sys, time
+            line = sys.stdin.readline()
+            sys.stderr.write("bye\\n")
+            sys.stderr.flush()
+            os.close(0)
+            sys.stdout.write("r" + line)
+            sys.stdout.flush()
+            time.sleep(30)
+            """,
+        )
+        program = CommandProgram(argv, arity=1, timeout=0.5)
+        assert program.evaluate(("a",)) == "ra"
+        proc = program._proc
+        with pytest.raises(ProgramFailure) as exc:
+            program.evaluate(("b",))
+        assert str(exc.value).endswith(": cannot write request: [Errno 32] Broken pipe [stderr: bye]")
+        start = time.monotonic()
+        program.close()
+        assert proc.returncode is not None and time.monotonic() - start < 0.5 + 2
+
+    def test_close_stops_a_child_that_stalls_on_unread_replies(self, tmp_path):
+        """The consumer stops after the first pair of a window, then the
+        child stalls: close() drops the replies it waited a timeout for,
+        raises nothing and leaves no child."""
+        argv = _write_script(
+            tmp_path,
+            "stall.py",
+            """\
+            import sys, time
+            sys.stdout.write("r" + sys.stdin.readline())
+            sys.stdout.flush()
+            time.sleep(30)
+            """,
+        )
+        program = CommandProgram(argv, arity=1, timeout=0.5)
+        stream = program.evaluate_all([("a",), ("b",), ("c",)])
+        assert next(stream) == "ra"
+        proc = program._proc
+        start = time.monotonic()
+        program.close()
+        assert proc.returncode is not None and time.monotonic() - start < 0.5 + 2
+
+    def test_close_kills_a_child_that_ignores_eof_and_sigterm(self, tmp_path):
+        argv = _write_script(
+            tmp_path,
+            "stubborn.py",
+            """\
+            import signal, sys, time
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            for line in sys.stdin:
+                sys.stdout.write("r" + line)
+                sys.stdout.flush()
+            time.sleep(30)
+            """,
+        )
+        program = CommandProgram(argv, arity=1, timeout=0.3)
+        assert program.evaluate(("a",)) == "ra"
+        proc = program._proc
+        program.close()
+        assert proc.returncode == -9
 
 
 def _pull(stream) -> tuple[list, BaseException | None]:
@@ -545,19 +607,18 @@ class TestPipeline:
         assert got == ["ra", "rb"]
         assert isinstance(error, ProgramFailure) and "exited with code 4" in str(error)
 
-    @pytest.mark.parametrize("cache", [True, False])
-    @pytest.mark.parametrize("window", [1, 2, 64])
-    def test_stream_matches_single_calls(self, tmp_path, monkeypatch, window, cache):
+    @pytest.mark.parametrize("window", [1, 2, 64], ids=lambda window: f"{window}-True")
+    def test_stream_matches_single_calls(self, tmp_path, monkeypatch, window):
         """Repeats are memo hits, also while their request is in flight; a
         bad input is raised at its position, after the outputs before it."""
         monkeypatch.setattr(programs, "_WINDOW", window)
         count = tmp_path / "served.txt"
         order = [("1", "2"), ("3", "4"), ("1", "2"), ("5", "6"), ("3", "4"), ("7",), ("8", "9")]
-        with CommandProgram(mod_worker(1000, 10, count), arity=2, cache=cache) as program:
+        with CommandProgram(mod_worker(1000, 10, count), arity=2) as program:
             got, error = _pull(program.evaluate_all(order))
         assert got == ["o12", "o34", "o12", "o56", "o34"]
         assert isinstance(error, ValueError) and "arity 2" in str(error)
-        assert count.read_text() == ("3" if cache else "5")
+        assert count.read_text() == "3"
 
     def test_request_longer_than_the_byte_cap_goes_out_alone(self, tmp_path):
         argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
@@ -608,20 +669,25 @@ _BAD_INPUTS = [
 ]
 
 
-def _o2(cache: bool, kind: str):
+# The memo is always on. Tests that once also ran with it off keep the IDs of
+# their memo-on cases: the "True" in "True-builtin" or "64-True" and the
+# "cache1" in "_o1-int-cache1" name the memo.
+_MEMO_KINDS = pytest.mark.parametrize("kind", ["builtin", "exec"], ids=lambda kind: f"True-{kind}")
+
+
+def _o2(kind: str):
     """A program of arity 2 that maps ("1", "2") to "o12"."""
     if kind == "builtin":
-        return BuiltinProgram("o2", 2, lambda i: "o" + "".join(i), cache=cache)
-    return CommandProgram(mod_worker(1000, 10), arity=2, cache=cache)
+        return BuiltinProgram("o2", 2, lambda i: "o" + "".join(i))
+    return CommandProgram(mod_worker(1000, 10), arity=2)
 
 
 @pytest.mark.parametrize("bad, message", _BAD_INPUTS)
-@pytest.mark.parametrize("kind", ["builtin", "exec"])
-@pytest.mark.parametrize("cache", [True, False])
-def test_bad_input_fails_as_ever_after_a_memo_hit(cache, kind, bad, message):
+@_MEMO_KINDS
+def test_bad_input_fails_as_ever_after_a_memo_hit(kind, bad, message):
     """The memo is looked up before the input check; an input it cannot
     serve is still checked, with the same error."""
-    with _o2(cache, kind) as program:
+    with _o2(kind) as program:
         expected = message.format(name=program.name)
         assert program.evaluate(("1", "2")) == program.evaluate(("1", "2")) == "o12"
         with pytest.raises(ValueError) as exc:
@@ -635,49 +701,29 @@ def test_bad_input_fails_as_ever_after_a_memo_hit(cache, kind, bad, message):
         assert (type(error), str(error)) == (ValueError, expected)
 
 
-@pytest.mark.parametrize("kind", ["builtin", "exec"])
-@pytest.mark.parametrize("cache", [True, False])
-def test_each_distinct_input_is_checked_once(monkeypatch, cache, kind):
-    """With the cache on, a memo hit (also on an input still in flight) is
-    not checked again; with it off, every input is."""
+@_MEMO_KINDS
+def test_each_distinct_input_is_checked_once(monkeypatch, kind):
+    """A memo hit (also on an input still in flight) is not checked again."""
     checked = []
     check = programs.check_input_tuple
     monkeypatch.setattr(programs, "check_input_tuple", lambda i: checked.append(i) or check(i))
     order = [("1", "2"), ("3", "4"), ("1", "2"), ("1", "2"), ("3", "4")]
-    with _o2(cache, kind) as program:
+    with _o2(kind) as program:
         assert list(program.evaluate_all(order)) == [program.evaluate(i) for i in order]
-    assert checked == (order[:2] if cache else order * 2)
+    assert checked == order[:2]
 
 
-def _o1(cache: bool):
-    return BuiltinProgram("o", 1, lambda i: "o" + i[0], cache=cache)
+def _o1():
+    return BuiltinProgram("o", 1, lambda i: "o" + i[0])
 
 
-def _o1_table(cache: bool):
-    return programs.TableProgram({(str(n),): f"o{n}" for n in range(3)}, cache=cache)
+def _o1_table():
+    return programs.TableProgram({(str(n),): f"o{n}" for n in range(3)})
 
 
 def _returning(out):
     """A builtin that maps ("1",) to "o1" and every other input to `out`."""
-    return lambda cache: BuiltinProgram(
-        "out", 1, lambda i: "o1" if i == ("1",) else out, cache=cache
-    )
-
-
-def _flaky(cache: bool):
-    """A builtin that maps ("1",) to "o1", and ("x",) to "a" on its first
-    call and to "b" on every later one; it has answered ("x",) once."""
-    calls = []
-
-    def fn(inputs):
-        if inputs == ("1",):
-            return "o1"
-        calls.append(inputs)
-        return "a" if len(calls) == 1 else "b"
-
-    program = BuiltinProgram("flaky", 1, fn, cache=cache)
-    program.evaluate(("x",))
-    return program
+    return lambda: BuiltinProgram("out", 1, lambda i: "o1" if i == ("1",) else out)
 
 
 # Inputs that no program of arity 1 accepts.
@@ -685,26 +731,23 @@ _BAD_FOR_ARITY_1 = {"list": ["1"], "empty": (), "arity": ("1", "2"), "int": (1,)
 
 
 @pytest.mark.parametrize(
-    "make, bad, cache",
+    "make, bad",
     [
-        pytest.param(make, bad, cache, id=f"{make.__name__}-{label}-cache{cache:d}")
+        pytest.param(make, bad, id=f"{make.__name__}-{label}-cache1")
         for make in (_o1, _o1_table)
         for label, bad in _BAD_FOR_ARITY_1.items()
-        for cache in (True, False)
     ]
     + [
-        pytest.param(_returning(out), ("2",), cache, id=f"returns-{out!r}-cache{cache:d}")
+        pytest.param(_returning(out), ("2",), id=f"returns-{out!r}-cache1")
         for out in ("a b", "", 7)
-        for cache in (True, False)
-    ]
-    + [pytest.param(_flaky, ("x",), False, id="flaky-cache0")],
+    ],
 )
-def test_stream_fails_at_its_input_as_evaluate_does(make, bad, cache):
+def test_stream_fails_at_its_input_as_evaluate_does(make, bad):
     """pairs() over [good, bad, good] yields the good output, then raises
     the exception that evaluate(bad) raises, with the same message."""
     with pytest.raises(Exception) as exc:
-        make(cache).evaluate(bad)
-    got, error = _pull(make(cache).pairs([("1",), bad, ("1",)]))
+        make().evaluate(bad)
+    got, error = _pull(make().pairs([("1",), bad, ("1",)]))
     assert got == [(("1",), "o1")]
     assert (type(error), str(error)) == (type(exc.value), str(exc.value))
 

@@ -14,6 +14,7 @@ from minimon import (
     InputOutsideDomain,
     Mode,
     Trace,
+    Witness,
     covers_domain,
     is_mono_minimal,
     is_strong_dist_minimal,
@@ -50,6 +51,14 @@ class TestMonolithic:
         w = mono_witness(Trace(table1_events()[:3]))
         assert (w.index_a, w.index_b) == (0, 2)
         assert w.kind is Mode.MONOLITHIC and w.differing_source is None
+
+    def test_witness_rejects_bad_indices_and_a_misplaced_source(self):
+        for a, b in [(2, 2), (3, 1), (-1, 1)]:
+            with pytest.raises(ValueError, match=rf"^bad witness indices \({a}, {b}\)$"):
+                Witness(Mode.MONOLITHIC, a, b)
+        for kind, source in [(Mode.MONOLITHIC, 0), (Mode.STRONG_DISTRIBUTED, None)]:
+            with pytest.raises(ValueError, match="^differing_source is for strong-distributed"):
+                Witness(kind, 0, 1, source)
 
     def test_all_equal_inputs_have_no_witness(self):
         t = Trace([mono("1", "a"), mono("1", "a"), mono("1", "a")])

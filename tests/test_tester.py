@@ -138,7 +138,7 @@ class TestDistOracle:
         assert not minimal
         assert pair == IndistinguishablePair(1, "0", "1")
 
-    def test_budget_is_checked_upfront(self):
+    def test_budget_is_checked_upfront(self, monkeypatch):
         calls = []
         mapping = {i: i[0] for i in BITS.enumerate()}
 
@@ -148,8 +148,9 @@ class TestDistOracle:
                 return mapping[key]
 
         table = FunctionTable(BITS, Spy())
+        monkeypatch.setenv("MINIMON_BUDGET", "7")
         with pytest.raises(BudgetExceeded):
-            table_dist_minimal(table, budget=7)
+            table_dist_minimal(table)
         assert calls == []
 
     def test_budget_env_override(self, monkeypatch):

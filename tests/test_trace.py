@@ -249,10 +249,13 @@ class TestDomain:
             assert list(ranged.enumerate()) == list(other.enumerate())
             assert ranged == other and hash(ranged) == hash(other)
             assert ranged.size == other.size == 2 * len(values)
+        assert repr(ranged) == f"InputDomain(arity=2, size={2 * len(values)})"
 
     def test_empty_source_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^source 0 is empty$"):
             InputDomain([[]])
+        with pytest.raises(ValueError, match="^domain needs at least one source$"):
+            InputDomain([])
 
     @pytest.mark.parametrize(
         "bad",
@@ -281,7 +284,9 @@ class TestTraceFiles:
 
     def test_round_trip_identity(self):
         t = Trace(table1_events())
-        assert parse_trace(serialize_trace(t)) == t
+        parsed = parse_trace(serialize_trace(t))
+        assert parsed == t and hash(parsed) == hash(t)
+        assert repr(parsed) == repr(t) == "Trace(5 events, arity=1)"
 
     def test_conflicting_lines_report_line_number(self):
         text = '{"in":["1"],"out":"a"}\n{"in":["1"],"out":"b"}\n'
