@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import sys
+from array import array
 
 from .errors import MinimonError
 from .monitor import Monitor, MonitorConfig, Verdict
@@ -31,7 +32,8 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 _EXIT_BY_VERDICT = {Verdict.TRUE: EXIT_TRUE, Verdict.FALSE: EXIT_FALSE, Verdict.UNKNOWN: EXIT_UNKNOWN}
-# Verdict.value is a descriptor lookup; monitor prints the text on every step.
+# Verdict.value is a descriptor lookup; monitor and check-trace --json need
+# the text of every step.
 _TEXT_BY_VERDICT = {verdict: verdict.value for verdict in Verdict}
 _MODES = {"mono": Mode.MONOLITHIC, "sdist": Mode.STRONG_DISTRIBUTED}
 # test --strategy: the name of the `tester` constant for each.
@@ -118,14 +120,15 @@ def _witness_text(witness: Witness, records=None) -> str:
 
 
 def cmd_check_trace(args) -> int:
-    # The trace is streamed: the reader checks each record once and records
-    # it in the monitor's own record, so a conflict names both file lines.
+    # The trace is streamed: the reader checks each record once and notes
+    # its file line, and the monitor's record is the determinism record, so
+    # a conflict names both file lines.
     mode = _MODES[args.mode]
     with open(args.trace, "r", encoding="utf-8") as fh:
         domain = load_domain(args.domain) if args.domain else None
         monitor = Monitor(MonitorConfig(mode, domain))
-        records = io_records(file_lines(fh), monitor.first_seen)
-        verdicts = list(itertools.starmap(monitor.step_io, records))
+        line_of = array("q")  # position -> file line, 8 bytes per event
+        verdicts = list(monitor.steps(io_records(file_lines(fh), line_of), line_of))
     final = monitor.verdict
     witness = monitor.witness
     if args.json:
@@ -135,7 +138,7 @@ def cmd_check_trace(args) -> int:
             "events": len(verdicts),
             "verdict": final.value,
             "witness": witness.to_dict() if witness else None,
-            "prefix_verdicts": [v.value for v in verdicts],
+            "prefix_verdicts": list(map(_TEXT_BY_VERDICT.__getitem__, verdicts)),
         }))
     else:
         print(final.value)
@@ -171,8 +174,9 @@ def cmd_monitor(args) -> int:
     monitor = Monitor(MonitorConfig(_MODES[args.mode], domain))
     with program:
         pairs = program.pairs(itertools.islice(stream, max(args.max_steps, 0)))
-        for step_no, (observed, output) in enumerate(pairs, start=1):
-            verdict = monitor.step_io(observed, output)
+        printed, stepped = itertools.tee(pairs)  # each pair's line, and its step
+        steps = zip(printed, monitor.steps(stepped))
+        for step_no, ((observed, output), verdict) in enumerate(steps, start=1):
             print(f"{step_no}\t{','.join(observed)}\t{output}\t{_TEXT_BY_VERDICT[verdict]}")
             if verdict is not Verdict.UNKNOWN:
                 break

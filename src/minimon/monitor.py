@@ -10,13 +10,15 @@ satisfaction cannot be broken by deterministic repeats.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .errors import InputOutsideDomain
 from .properties import CollisionIndex, Mode, Witness
-from .trace import Event, InputDomain, InputTuple, Trace, _FirstSeen, _record
+from .trace import Event, InputDomain, InputTuple, Trace, _conflict, _FirstSeen
 
 
 class Verdict(Enum):
@@ -32,6 +34,9 @@ class Verdict(Enum):
         return self.value
 
 
+_UNKNOWN = Verdict.UNKNOWN
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
     """Monitoring mode plus the optional declared input domain.
@@ -44,7 +49,8 @@ class MonitorConfig:
 
 
 class Monitor:
-    """Stateful monitor; feed events with step(), read verdict/witness.
+    """Stateful monitor; feed events with step() or a stream with steps(),
+    read verdict/witness.
 
     Violations are detected against a first-occurrence CollisionIndex, which
     also reproduces the least witness pair. Only a new input touches the
@@ -55,9 +61,7 @@ class Monitor:
     dictionary lookup.
 
     `first_seen` maps each input stepped so far to (output, first
-    position): the determinism record and the coverage count. A reader may
-    record an input there before step_io() does, at the position step_io()
-    gives it, as trace.io_records does for check-trace.
+    position): the determinism record and the coverage count.
     """
 
     def __init__(self, config: MonitorConfig):
@@ -69,6 +73,10 @@ class Monitor:
         self._index = CollisionIndex(config.mode)
         self._verdict = Verdict.UNKNOWN
         self._witness: Witness | None = None
+        # step_io() feeds one steps() loop through this inbox, so a single
+        # step creates no generator; the loop starts at the first step.
+        self._inbox: deque[tuple[InputTuple, str]] = deque()
+        self._stepper = self.steps(iter(self._inbox.popleft, None))
 
     @property
     def verdict(self) -> Verdict:
@@ -88,42 +96,61 @@ class Monitor:
 
     def step_io(self, inputs: InputTuple, output: str) -> Verdict:
         """step() for one (inputs, output) observation whose tokens the
-        caller has already checked, as iter_io_lines and Event do. Only a
-        new input is checked for arity and domain, and one that fails is not
-        recorded: so every recorded input passed them, and a repeat is not
-        checked again."""
-        pos = self._events_seen
-        first = _record(self.first_seen, inputs, output, pos)
-        if first == pos:
-            try:
+        caller has already checked, as iter_io_lines and Event do."""
+        self._inbox.append((inputs, output))
+        try:
+            return next(self._stepper)
+        except BaseException:
+            # The error ended the loop; the next step starts a new one.
+            self._stepper = self.steps(iter(self._inbox.popleft, None))
+            raise
+
+    def steps(self, pairs: Iterable[tuple[InputTuple, str]], line_of=None) -> Iterator[Verdict]:
+        """Step each (inputs, output) pair, whose tokens the caller has
+        already checked, and yield the verdict after it.
+
+        Each input is recorded once in `first_seen`. Only a new input is
+        checked for arity and domain, and one that fails is not recorded: so
+        every recorded input passed them, and a repeat is not checked again.
+        `line_of`, when given, holds the file line of every position stepped
+        so far, and a DeterminismViolation names both file lines. The
+        counters live on the monitor, not in this loop, so a stream may
+        follow step() calls or a refused input."""
+        first_seen = self.first_seen
+        record = first_seen.setdefault
+        index = self._index.add
+        domain = self.config.domain
+        size = self._size
+        for inputs, output in pairs:
+            pos = self._events_seen
+            prior = record(inputs, (output, pos))
+            if prior[0] != output:
+                raise _conflict(inputs, output, pos, prior, line_of)
+            new = prior[1] == pos
+            if new:
                 if self._arity is None:
                     self._arity = len(inputs)
                 elif len(inputs) != self._arity:
+                    del first_seen[inputs]
                     raise ValueError(
                         f"event has arity {len(inputs)}, monitor expects {self._arity}"
                     )
-                domain = self.config.domain
                 if domain is not None and not domain.contains(inputs):
+                    del first_seen[inputs]
                     raise InputOutsideDomain(
                         f"input {inputs} at position {pos} is outside the declared domain",
                         position=pos,
                     )
-            except (ValueError, InputOutsideDomain):
-                del self.first_seen[inputs]  # also a reader's record: refused
-                raise
-        self._events_seen = pos + 1
-
-        if self._verdict is not Verdict.UNKNOWN:
-            return self._verdict
-
-        # Index `first`, the record's own int, so no second int per input.
-        hit = self._index.add(inputs, output, first) if first == pos else None
-        if hit is not None:
-            self._verdict = Verdict.FALSE
-            self._witness = Witness(self.config.mode, hit[0], pos, hit[1])
-        elif pos >= 1 and len(self.first_seen) == self._size:
-            self._verdict = Verdict.TRUE
-        return self._verdict
+            self._events_seen = pos + 1
+            if self._verdict is _UNKNOWN:
+                # Index `pos`, the record's own int, so no second int per input.
+                hit = index(inputs, output, pos) if new else None
+                if hit is not None:
+                    self._verdict = Verdict.FALSE
+                    self._witness = Witness(self.config.mode, hit[0], pos, hit[1])
+                elif pos and len(first_seen) == size:
+                    self._verdict = Verdict.TRUE
+            yield self._verdict
 
     def trace_of(self, events: Sequence[Event]) -> Trace:
         """The Trace of `events`, which must be exactly the events stepped so
@@ -144,16 +171,17 @@ class Monitor:
         return [found[pos] for pos in positions]
 
 
+_pair = attrgetter("inputs", "output")  # an Event's (inputs, output) pair
+
+
 def monitor_eval(config: MonitorConfig, trace: Trace) -> tuple[Verdict, Witness | None]:
     """Verdict and witness for a whole trace (UNKNOWN, None when empty)."""
     mon = Monitor(config)
-    verdict = Verdict.UNKNOWN
-    for event in trace:
-        verdict = mon.step(event)
-    return verdict, mon.witness
+    for _ in mon.steps(map(_pair, trace)):
+        pass
+    return mon.verdict, mon.witness
 
 
 def prefix_verdicts(config: MonitorConfig, trace: Trace) -> list[Verdict]:
     """One verdict per non-empty prefix, computed in a single pass."""
-    mon = Monitor(config)
-    return [mon.step(event) for event in trace]
+    return list(Monitor(config).steps(map(_pair, trace)))

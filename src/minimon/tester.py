@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, DomainMismatch
 from .monitor import Monitor, MonitorConfig, Verdict
 from .programs import stream
 from .properties import Mode, Witness, least_collision
-from .trace import Event, InputDomain, InputTuple, Trace, _checked_event
+from .trace import InputDomain, InputTuple, Trace, _checked_event
 
 RANDOM_PERMUTATION = "random-permutation"
 LEXICOGRAPHIC = "lexicographic"
@@ -120,14 +120,13 @@ def table_dist_minimal(table: FunctionTable) -> tuple[bool, IndistinguishablePai
     """
     domain = table.domain
     check_budget(domain.arity * domain.size, "distributed-minimality scan needs {} table lookups")
+    output_of = table.outputs.__getitem__
     for j, src in enumerate(domain.sources):
-        others = [s for k, s in enumerate(domain.sources) if k != j]
+        before, after = domain.sources[:j], domain.sources[j + 1:]
         groups: dict[tuple[str, ...], list[int]] = {}
         for rank, u in enumerate(src):
-            vec = tuple(
-                table.outputs[ctx[:j] + (u,) + ctx[j:]]
-                for ctx in itertools.product(*others)
-            )
+            # Every context of the other sources, in product order, with u at j.
+            vec = tuple(map(output_of, itertools.product(*before, (u,), *after)))
             groups.setdefault(vec, []).append(rank)
         best: tuple[int, int] | None = None
         for ranks in groups.values():
@@ -183,11 +182,12 @@ def run_test(
     if strategy == RANDOM_PERMUTATION:
         random.Random(seed).shuffle(order)
     monitor = Monitor(MonitorConfig(mode, domain))
-    events: list[Event] = []
-    for event in itertools.starmap(_checked_event, stream(program, order)):
-        verdict = monitor.step(event)
-        events.append(event)
+    # `observed` keeps each pair the monitor steps, for the report's trace.
+    observed, stepped = itertools.tee(stream(program, order))
+    for verdict in monitor.steps(stepped):
         if verdict is not Verdict.UNKNOWN:
+            pairs = itertools.islice(observed, monitor.events_seen)
+            events = tuple(itertools.starmap(_checked_event, pairs))
             return TestReport(
                 verdict,
                 monitor.witness,

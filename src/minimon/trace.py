@@ -109,7 +109,9 @@ class Trace:
                 raise ValueError(
                     f"event {pos} has arity {e.arity}, trace has arity {arity}"
                 )
-            _record(first_seen, e.inputs, e.output, pos)
+            prior = first_seen.setdefault(e.inputs, (e.output, pos))
+            if prior[0] != e.output:
+                raise _conflict(e.inputs, e.output, pos, prior)
         self._events = evs
         self._arity = arity
         self._first_seen = first_seen
@@ -392,37 +394,33 @@ def iter_io_lines(lines: Iterable[str]) -> Iterator[tuple[int, InputTuple, str]]
         yield line_no, inputs, output
 
 
-def _record(first_seen: _FirstSeen, inputs: InputTuple, output: str, pos: int) -> int:
-    """Record in `first_seen` that `inputs` produced `output` at position
-    `pos`, and return the first position of `inputs`: `pos` when it is new,
-    also when a reader recorded it there already. DeterminismViolation if
-    an earlier position gave `inputs` another output."""
-    prior = first_seen.setdefault(inputs, (output, pos))
-    if prior[0] != output:
-        raise DeterminismViolation(
+def _conflict(
+    inputs: InputTuple, output: str, pos: int, prior: tuple[str, int], line_of=None
+) -> DeterminismViolation:
+    """The DeterminismViolation for `inputs` giving `output` at position
+    `pos` after `prior`, its (output, first position). With `line_of`, the
+    file line of each position, the message names both file lines."""
+    if line_of is None:
+        return DeterminismViolation(
             f"input {inputs} produced {output!r} at position {pos} "
             f"but {prior[0]!r} at position {prior[1]}",
             index=prior[1],
         )
-    return prior[1]
+    return DeterminismViolation(
+        f"line {line_of[pos]}: input {list(inputs)} produced {output!r} "
+        f"but {prior[0]!r} on line {line_of[prior[1]]}",
+        index=prior[1],
+        line=line_of[pos],
+    )
 
 
-def io_records(lines: Iterable[str], first_seen: _FirstSeen) -> Iterator[tuple[InputTuple, str]]:
+def io_records(lines: Iterable[str], line_of: array) -> Iterator[tuple[InputTuple, str]]:
     """(inputs, output) for each record of a trace file's `lines` (see
-    iter_io_lines), each recorded in `first_seen` at its position in the
-    trace before it is yielded. A record whose input had another output raises
-    DeterminismViolation naming both file lines."""
-    line_of = array("q")  # position -> file line
+    iter_io_lines); the record's file line is appended to `line_of` before
+    it is yielded, so line_of[pos] is the line of trace position pos."""
+    append = line_of.append
     for line_no, inputs, output in iter_io_lines(lines):
-        prior = first_seen.setdefault(inputs, (output, len(line_of)))
-        if prior[0] != output:
-            raise DeterminismViolation(
-                f"line {line_no}: input {list(inputs)} produced {output!r} "
-                f"but {prior[0]!r} on line {line_of[prior[1]]}",
-                index=prior[1],
-                line=line_no,
-            )
-        line_of.append(line_no)
+        append(line_no)
         yield inputs, output
 
 
@@ -436,8 +434,16 @@ def _checked_event(inputs: InputTuple, output: str) -> Event:
 
 def _read_trace(lines: Iterable[str]) -> Trace:
     first_seen: _FirstSeen = {}
-    events = tuple(itertools.starmap(_checked_event, io_records(lines, first_seen)))
-    return Trace._from_checked(events, first_seen)
+    record = first_seen.setdefault
+    line_of = array("q")
+    events: list[Event] = []
+    for inputs, output in io_records(lines, line_of):
+        pos = len(events)
+        prior = record(inputs, (output, pos))
+        if prior[0] != output:
+            raise _conflict(inputs, output, pos, prior, line_of)
+        events.append(_checked_event(inputs, output))
+    return Trace._from_checked(tuple(events), first_seen)
 
 
 def parse_trace(text: str) -> Trace:

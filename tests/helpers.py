@@ -112,6 +112,25 @@ def naive_sdm_witness(trace: Trace) -> tuple[int, int, int] | None:
     return None
 
 
+def naive_dist_pair(table) -> tuple[int, str, str] | None:
+    """(source, value_a, value_b) for the first source, in order, with two
+    values that no context of the other sources tells apart: its least such
+    pair of value ranks, found by comparing the outputs of every domain
+    input that holds value_a with the same input holding value_b. None when
+    every source is distinguished."""
+    domain, outputs = table.domain, table.outputs
+    for j, src in enumerate(domain.sources):
+        for a in range(len(src)):
+            for b in range(a + 1, len(src)):
+                if all(
+                    outputs[i] == outputs[i[:j] + (src[b],) + i[j + 1:]]
+                    for i in domain.enumerate()
+                    if i[j] == src[a]
+                ):
+                    return j, src[a], src[b]
+    return None
+
+
 class EagerSdistIndex:
     """Strong-distributed collision index that keys every input's masked
     tuples as it arrives, whether or not its output ever repeats: the

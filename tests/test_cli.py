@@ -153,6 +153,19 @@ class TestCheckTrace:
         assert "line 2" in result.stderr
 
 
+    def test_invalid_utf8_position_counts_from_file_start(self, tmp_path):
+        """check-trace decodes a regular file in chunks as it streams; the
+        error still gives the bad byte's offset in the whole file."""
+        good = "".join(f'{{"in":["{i}"],"out":"{i}"}}\n' for i in range(1000)).encode()
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(good + b'{"in":["\xff"],"out":"a"}\n')
+        result = run_cli("check-trace", "--trace", str(path), "--mode", "mono")
+        assert result.returncode == 3
+        offset = len(good) + len(b'{"in":["')
+        assert result.stderr == (
+            f"error: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte\n"
+        )
+
     def test_conflict_names_both_lines(self, files):
         trace = files(
             "conflict.jsonl",

@@ -3,6 +3,11 @@ and agreement between incremental stepping and whole-trace evaluation."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import itertools
+import json
 import random
 import re
 
@@ -14,6 +19,7 @@ from minimon import (
     Event,
     InputDomain,
     InputOutsideDomain,
+    MinimonError,
     Mode,
     Monitor,
     MonitorConfig,
@@ -26,6 +32,7 @@ from minimon import (
     monitor_eval,
     prefix_verdicts,
 )
+from minimon import cli
 
 from helpers import (
     mono,
@@ -159,13 +166,10 @@ def test_empty_trace_is_unknown():
 )
 def test_refused_input_is_recorded_nowhere(domain, bad, error, message):
     """An input is checked at its first occurrence; a refused one leaves no
-    record, also where a reader made one, so it is refused again, and a
-    valid input after it still steps."""
+    record, so it is refused again, and a valid input after it still steps."""
     mon = Monitor(MonitorConfig(Mode.MONOLITHIC, domain))
     mon.step_io(("1",), "a")
-    for reader in (False, False, True):  # a reader records at the position first
-        if reader:
-            mon.first_seen[bad] = ("b", 1)
+    for _ in range(2):
         with pytest.raises(error, match=re.escape(message)):
             mon.step_io(bad, "b")
         assert mon.first_seen == {("1",): ("a", 0)}
@@ -195,18 +199,154 @@ class _CountingDict(dict):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_one_record_operation_per_event(mode):
-    """step_io() makes one dictionary operation per event: on a new input,
-    on a repeat, and on an input a reader recorded at its position first."""
+    """step_io() makes one dictionary operation per event: on a new input
+    and on a repeat."""
     mon = Monitor(MonitorConfig(mode, InputDomain([("0", "1", "2"), ("0", "1")])))
     mon.first_seen = record = _CountingDict()
     events = [(("0", "0"), "a"), (("1", "0"), "b"), (("0", "0"), "a"), (("2", "1"), "c"), (("1", "0"), "b")]
     for inputs, output in events:
         mon.step_io(inputs, output)
     assert record.operations == len(events)
-    dict.setdefault(record, ("2", "0"), ("d", len(events)))  # as trace.io_records does
-    assert mon.step_io(("2", "0"), "d") is Verdict.UNKNOWN
-    assert record.operations == len(events) + 1
-    assert mon.first_occurrences([0, 1, 3, 5]) == [events[0], events[1], events[3], (("2", "0"), "d")]
+    assert mon.first_occurrences([0, 1, 3]) == [events[0], events[1], events[3]]
+
+
+@pytest.mark.parametrize("mode", ["mono", "sdist"])
+def test_check_trace_makes_one_record_operation_per_event(mode, tmp_path, monkeypatch):
+    """Along check-trace's path, the reader and the monitor's loop together
+    make one operation on the determinism record per event."""
+    records = []
+
+    class CountingMonitor(Monitor):
+        def __init__(self, config):
+            super().__init__(config)
+            self.first_seen = _CountingDict()
+            records.append(self.first_seen)
+
+    monkeypatch.setattr(cli, "Monitor", CountingMonitor)
+    events = [(["0", "0"], "a"), (["1", "0"], "b"), (["0", "0"], "a"), (["2", "1"], "c"), (["1", "0"], "b")]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps({"in": i, "out": o}) + "\n\n" for i, o in events))
+    domain = tmp_path / "domain.json"
+    domain.write_text('{"sources": [{"set": ["0", "1", "2"]}, {"set": ["0", "1"]}]}')
+    args = argparse.Namespace(trace=str(trace), mode=mode, domain=str(domain), json=True)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.cmd_check_trace(args) == cli.EXIT_UNKNOWN
+    assert json.loads(out.getvalue())["events"] == len(events)
+    assert [r.operations for r in records] == [len(events)]
+
+
+_STREAM_FAULTS = (None, "arity", "outside", "conflict")
+
+
+def _faulty_stream(rnd: random.Random, fault, with_domain: bool):
+    """A deterministic stream of (inputs, output) pairs with repeats, its
+    domain (or None), and at most one faulty pair with the position it goes
+    in at; bad is None when the fault does not apply."""
+    arity = rnd.randint(1, 3)
+    values = [str(v) for v in range(rnd.randint(1, 3))]
+    pool = list(itertools.product(values, repeat=arity))
+    fn = {i: rnd.choice("xyz") for i in pool}
+    clean = [(i, fn[i]) for i in (rnd.choice(pool) for _ in range(rnd.randint(0, 12)))]
+    domain = InputDomain([values] * arity) if with_domain else None
+    at = rnd.randint(0, len(clean))
+    bad = None
+    if fault == "arity" and (at > 0 or with_domain):
+        bad = (pool[0] + ("0",), "x")
+    elif fault == "outside" and with_domain:
+        bad = (("w",) * arity, "x")
+    elif fault == "conflict" and at > 0:
+        inputs, output = rnd.choice(clean[:at])
+        bad = (inputs, output + "2")
+    return clean, domain, at, bad
+
+
+def _expected_error(clean, domain, at, bad):
+    inputs, output = bad
+    arity = domain.arity if domain else len(clean[0][0])
+    if len(inputs) != arity:
+        return ValueError(f"event has arity {len(inputs)}, monitor expects {arity}")
+    for pos, (earlier, out) in enumerate(clean[:at]):
+        if earlier == inputs:
+            return DeterminismViolation(
+                f"input {inputs} produced {output!r} at position {at} but {out!r} at position {pos}",
+                index=pos,
+            )
+    return InputOutsideDomain(
+        f"input {inputs} at position {at} is outside the declared domain", position=at
+    )
+
+
+def _drive(monitor: Monitor, pairs, how: str):
+    """The verdicts `monitor` gives for `pairs` up to the first error, and
+    that error (None if there is none)."""
+    verdicts = []
+    try:
+        if how == "steps":
+            for verdict in monitor.steps(iter(pairs)):
+                verdicts.append(verdict)
+        else:
+            for k, (inputs, output) in enumerate(pairs):
+                if how == "step_io" or k % 2:
+                    verdicts.append(monitor.step_io(inputs, output))
+                else:  # "mixed": every other pair through a one-pair stream
+                    verdicts.extend(monitor.steps([(inputs, output)]))
+    except (MinimonError, ValueError) as exc:
+        return verdicts, exc
+    return verdicts, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(list(Mode)),
+    with_domain=st.booleans(),
+    fault=st.sampled_from(_STREAM_FAULTS),
+)
+def test_one_loop_one_semantics(seed, mode, with_domain, fault):
+    """steps() over a stream, one step_io() per pair, and the two mixed all
+    give the naive verdict on every prefix and the naive witness. A stream
+    with one faulty pair (wrong arity, an input outside the domain, or a
+    determinism conflict, before or after a latch) stops there with the same
+    error, class, message and position; the refused pair leaves no trace, so
+    the monitor steps on through the rest as if it never came."""
+    clean, domain, at, bad = _faulty_stream(random.Random(seed), fault, with_domain)
+    naive = naive_mono_witness if mode is Mode.MONOLITHIC else naive_sdm_witness
+    expected, first_false = [], None
+    for k in range(1, len(clean) + 1):
+        prefix = Trace(Event(i, o) for i, o in clean[:k])
+        if naive(prefix) is not None:
+            expected.append(Verdict.FALSE)
+            first_false = first_false or naive(prefix)
+        elif domain is not None and k >= 2 and {i for i, _ in clean[:k]} == set(domain.enumerate()):
+            expected.append(Verdict.TRUE)
+        else:
+            expected.append(Verdict.UNKNOWN)
+    record = {}
+    for pos, (inputs, output) in enumerate(clean):
+        record.setdefault(inputs, (output, pos))
+    for how in ("steps", "step_io", "mixed"):
+        mon = Monitor(MonitorConfig(mode, domain))
+        if bad is None:
+            assert _drive(mon, clean, how) == (expected, None)
+        else:
+            got, error = _drive(mon, clean[:at] + [bad] + clean[at:], how)
+            want = _expected_error(clean, domain, at, bad)
+            assert got == expected[:at]
+            assert (type(error), str(error)) == (type(want), str(want))
+            for attr in ("index", "line", "position"):
+                assert getattr(error, attr, None) == getattr(want, attr, None)
+            assert mon.events_seen == at
+            assert _drive(mon, clean[at:], how) == (expected[at:], None)
+        assert mon.events_seen == len(clean)
+        assert mon.first_seen == record
+        w = mon.witness
+        if first_false is None:
+            assert w is None
+        else:
+            got_w = (w.index_a, w.index_b)
+            if mode is Mode.STRONG_DISTRIBUTED:
+                got_w += (w.differing_source,)
+            assert got_w == first_false
 
 
 class TestAgainstWholeTraceSemantics:

@@ -36,7 +36,7 @@ from minimon.tester import (
     IndistinguishablePair,
 )
 
-from helpers import mod_worker, random_full_table
+from helpers import mod_worker, naive_dist_pair, random_full_table
 
 BITS = InputDomain([["0", "1"], ["0", "1"]])
 
@@ -160,6 +160,22 @@ class TestDistOracle:
         monkeypatch.setenv("MINIMON_BUDGET", "not-a-number")
         with pytest.raises(ValueError):
             table_dist_minimal(bit_table("xor"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_scan_equals_direct_comparison(self, data):
+        """On random full tables (arity 1-3, at most 4 values per source, a
+        1-3 letter output alphabet, so both verdicts occur) the oracle gives
+        the first source with an indistinguishable pair, and its least pair
+        of value ranks."""
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        domain = InputDomain([[str(v) for v in range(n)] for n in sizes])
+        letters = "abc"[: data.draw(st.integers(1, 3))]
+        outs = data.draw(st.lists(st.sampled_from(letters), min_size=domain.size, max_size=domain.size))
+        table = FunctionTable(domain, dict(zip(domain.enumerate(), outs)))
+        pair = naive_dist_pair(table)
+        expected = (True, None) if pair is None else (False, IndistinguishablePair(*pair))
+        assert table_dist_minimal(table) == expected
 
     def test_implication_chain_on_random_tables(self):
         rnd = random.Random(21)
