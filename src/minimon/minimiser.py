@@ -218,9 +218,6 @@ class ComposedProgram(Program):
         self.program = program
         self.table = table
 
-    def evaluate(self, inputs: InputTuple) -> str:
-        return self.program.evaluate(self.table.apply(inputs))
-
     def observe(self, inputs: InputTuple) -> Event:
         return self.program.observe(self.table.apply(inputs))
 

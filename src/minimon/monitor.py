@@ -14,7 +14,6 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 from .errors import InputOutsideDomain
 from .properties import CollisionIndex, Mode, Witness
@@ -152,11 +151,11 @@ class Monitor:
                     self._verdict = Verdict.TRUE
             yield self._verdict
 
-    def trace_of(self, events: Sequence[Event]) -> Trace:
-        """The Trace of `events`, which must be exactly the events stepped so
-        far, built from this monitor's first-occurrence record instead of a
-        second scan."""
-        return Trace._from_checked(tuple(events), dict(self.first_seen))
+    def trace_of(self, pairs: Sequence[tuple[InputTuple, str]]) -> Trace:
+        """The Trace of `pairs`, which must be exactly the (inputs, output)
+        pairs stepped so far, built from this monitor's first-occurrence
+        record instead of a second scan."""
+        return Trace._from_checked(tuple(pairs), dict(self.first_seen))
 
     def first_occurrences(self, positions: Sequence[int]) -> list[tuple[InputTuple, str]]:
         """(inputs, output) of the events at `positions`, in order. Each must
@@ -171,17 +170,14 @@ class Monitor:
         return [found[pos] for pos in positions]
 
 
-_pair = attrgetter("inputs", "output")  # an Event's (inputs, output) pair
-
-
 def monitor_eval(config: MonitorConfig, trace: Trace) -> tuple[Verdict, Witness | None]:
     """Verdict and witness for a whole trace (UNKNOWN, None when empty)."""
     mon = Monitor(config)
-    for _ in mon.steps(map(_pair, trace)):
+    for _ in mon.steps(trace._pairs):
         pass
     return mon.verdict, mon.witness
 
 
 def prefix_verdicts(config: MonitorConfig, trace: Trace) -> list[Verdict]:
     """One verdict per non-empty prefix, computed in a single pass."""
-    return list(Monitor(config).steps(map(_pair, trace)))
+    return list(Monitor(config).steps(trace._pairs))

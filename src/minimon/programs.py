@@ -92,14 +92,6 @@ class Program:
             record[inputs] = out
             yield inputs, out
 
-    def evaluate_all(self, order: Iterable[InputTuple]) -> Iterator[str]:
-        """evaluate() of each input of `order`, as pairs() gives it."""
-        return (output for _, output in self.pairs(order))
-
-    def observe_all(self, order: Iterable[InputTuple]) -> Iterator[Event]:
-        """observe() of each input of `order`, as pairs() gives it."""
-        return itertools.starmap(_checked_event, self.pairs(order))
-
     def _call(self, inputs: InputTuple) -> str:
         raise NotImplementedError
 

@@ -180,13 +180,13 @@ def covers_domain(domain: InputDomain, trace: Trace) -> bool:
     if len(trace) < domain.size:
         return False
     seen: set[InputTuple] = set()
-    for pos, e in enumerate(trace):
-        if not domain.contains(e.inputs):
+    for pos, (inputs, _) in enumerate(trace._pairs):
+        if not domain.contains(inputs):
             raise InputOutsideDomain(
-                f"input {e.inputs} at position {pos} is outside the declared domain",
+                f"input {inputs} at position {pos} is outside the declared domain",
                 position=pos,
             )
-        seen.add(e.inputs)
+        seen.add(inputs)
         if len(seen) == domain.size:
             return True
     return False

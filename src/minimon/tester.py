@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, DomainMismatch
 from .monitor import Monitor, MonitorConfig, Verdict
 from .programs import stream
 from .properties import Mode, Witness, least_collision
-from .trace import InputDomain, InputTuple, Trace, _checked_event
+from .trace import InputDomain, InputTuple, Trace
 
 RANDOM_PERMUTATION = "random-permutation"
 LEXICOGRAPHIC = "lexicographic"
@@ -167,12 +167,13 @@ def run_test(
 ) -> TestReport:
     """Probe every domain element until the monitor concludes.
 
-    The monitor observes `program.observe(i)`, so for pre-processed
-    compositions the declared domain must be the pre-processor's range;
-    otherwise observed inputs repeat, the domain runs out inconclusively, and
-    DomainMismatch is raised (same for a size-1 domain, which can never reach
-    the two-event minimum for a conclusive verdict). A domain larger than
-    the budget (default 10^7, env-overridable) is refused before any probe.
+    The monitor steps the (observed inputs, output) pairs that
+    `program.pairs()` streams, so for pre-processed compositions the declared
+    domain must be the pre-processor's range; otherwise observed inputs
+    repeat, the domain runs out inconclusively, and DomainMismatch is raised
+    (same for a size-1 domain, which can never reach the two-event minimum
+    for a conclusive verdict). A domain larger than the budget (default
+    10^7, env-overridable) is refused before any probe.
     """
     if strategy not in (RANDOM_PERMUTATION, LEXICOGRAPHIC):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -186,13 +187,12 @@ def run_test(
     observed, stepped = itertools.tee(stream(program, order))
     for verdict in monitor.steps(stepped):
         if verdict is not Verdict.UNKNOWN:
-            pairs = itertools.islice(observed, monitor.events_seen)
-            events = tuple(itertools.starmap(_checked_event, pairs))
+            pairs = tuple(itertools.islice(observed, monitor.events_seen))
             return TestReport(
                 verdict,
                 monitor.witness,
-                len(events),
-                monitor.trace_of(events),
+                len(pairs),
+                monitor.trace_of(pairs),
                 strategy,
                 seed if strategy == RANDOM_PERMUTATION else None,
             )

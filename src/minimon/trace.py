@@ -92,44 +92,47 @@ class Event:
 
 
 class Trace:
-    """An immutable deterministic trace (equal inputs imply equal outputs)."""
+    """An immutable deterministic trace (equal inputs imply equal outputs),
+    kept as (inputs, output) pairs; reading an event builds its Event."""
 
-    __slots__ = ("_events", "_arity", "_first_seen")
+    __slots__ = ("_pairs", "_arity", "_first_seen")
 
     def __init__(self, events: Iterable[Event] = ()):
-        evs = tuple(events)
+        pairs = []
         arity: int | None = None
         first_seen: _FirstSeen = {}
-        for pos, e in enumerate(evs):
+        for pos, e in enumerate(tuple(events)):
             if not isinstance(e, Event):
                 raise TypeError(f"expected Event, got {type(e).__name__}")
+            inputs, output = e.inputs, e.output
             if arity is None:
-                arity = e.arity
-            elif e.arity != arity:
+                arity = len(inputs)
+            elif len(inputs) != arity:
                 raise ValueError(
-                    f"event {pos} has arity {e.arity}, trace has arity {arity}"
+                    f"event {pos} has arity {len(inputs)}, trace has arity {arity}"
                 )
-            prior = first_seen.setdefault(e.inputs, (e.output, pos))
-            if prior[0] != e.output:
-                raise _conflict(e.inputs, e.output, pos, prior)
-        self._events = evs
+            prior = first_seen.setdefault(inputs, (output, pos))
+            if prior[0] != output:
+                raise _conflict(inputs, output, pos, prior)
+            pairs.append((inputs, output))
+        self._pairs = tuple(pairs)
         self._arity = arity
         self._first_seen = first_seen
 
     @classmethod
-    def _from_checked(cls, events: tuple[Event, ...], first_seen: _FirstSeen) -> Trace:
-        """A trace over events already known to share one arity and to be
-        deterministic; `first_seen` maps each input to (output, first
-        position). Skips the scan that __init__ makes."""
+    def _from_checked(cls, pairs: tuple[tuple[InputTuple, str], ...], first_seen: _FirstSeen) -> Trace:
+        """A trace over (inputs, output) pairs of checked tokens already known
+        to share one arity and to be deterministic; `first_seen` maps each
+        input to (output, first position). Skips the scan that __init__ makes."""
         trace = object.__new__(cls)
-        trace._events = events
-        trace._arity = events[0].arity if events else None
+        trace._pairs = pairs
+        trace._arity = len(pairs[0][0]) if pairs else None
         trace._first_seen = first_seen
         return trace
 
     @property
     def events(self) -> tuple[Event, ...]:
-        return self._events
+        return tuple(self)
 
     @property
     def arity(self) -> int | None:
@@ -137,22 +140,25 @@ class Trace:
         return self._arity
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._pairs)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return itertools.starmap(_checked_event, self._pairs)
 
-    def __getitem__(self, i: int) -> Event:
-        return self._events[i]
+    def __getitem__(self, i: int | slice) -> Event | tuple[Event, ...]:
+        if isinstance(i, slice):
+            return tuple(itertools.starmap(_checked_event, self._pairs[i]))
+        return _checked_event(*self._pairs[i])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Trace) and self._events == other._events
+        return isinstance(other, Trace) and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self._events)
+        # hash(tuple(events)), since a frozen dataclass Event hashes as (inputs, output).
+        return hash(self._pairs)
 
     def __repr__(self) -> str:
-        return f"Trace({len(self._events)} events, arity={self._arity})"
+        return f"Trace({len(self._pairs)} events, arity={self._arity})"
 
     def append(self, event: Event) -> Trace:
         """Extended trace, or DeterminismViolation naming the conflicting
@@ -172,11 +178,11 @@ class Trace:
                 index=prior[1],
             )
         if prior is None:
-            first_seen = {**first_seen, event.inputs: (event.output, len(self._events))}
-        return Trace._from_checked(self._events + (event,), first_seen)
+            first_seen = {**first_seen, event.inputs: (event.output, len(self._pairs))}
+        return Trace._from_checked(self._pairs + ((event.inputs, event.output),), first_seen)
 
     def is_prefix_of(self, other: Trace) -> bool:
-        return len(self) <= len(other) and other._events[: len(self)] == self._events
+        return len(self) <= len(other) and other._pairs[: len(self)] == self._pairs
 
     def output_of(self, inputs: InputTuple) -> str | None:
         """Output recorded for `inputs`, or None if the input never occurs."""
@@ -436,14 +442,14 @@ def _read_trace(lines: Iterable[str]) -> Trace:
     first_seen: _FirstSeen = {}
     record = first_seen.setdefault
     line_of = array("q")
-    events: list[Event] = []
+    pairs: list[tuple[InputTuple, str]] = []
     for inputs, output in io_records(lines, line_of):
-        pos = len(events)
+        pos = len(pairs)
         prior = record(inputs, (output, pos))
         if prior[0] != output:
             raise _conflict(inputs, output, pos, prior, line_of)
-        events.append(_checked_event(inputs, output))
-    return Trace._from_checked(tuple(events), first_seen)
+        pairs.append((inputs, output))
+    return Trace._from_checked(tuple(pairs), first_seen)
 
 
 def parse_trace(text: str) -> Trace:
@@ -472,7 +478,7 @@ def _io_row(inputs: InputTuple, output: str) -> str:
 
 def serialize_trace(trace: Trace) -> str:
     """Inverse of parse_trace (round-trip identity), one event per line."""
-    return "".join(_io_row(e.inputs, e.output) for e in trace)
+    return "".join(itertools.starmap(_io_row, trace._pairs))
 
 
 def parse_input_lines(text: str) -> list[InputTuple]:

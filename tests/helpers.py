@@ -235,6 +235,11 @@ def mod_worker(modulus: int, radix: int, count_file=None) -> list[str]:
     return argv + [str(count_file)] if count_file is not None else argv
 
 
+def outputs(program, order):
+    """The output of each input of `order`, as `program.pairs(order)` yields it."""
+    return (out for _, out in program.pairs(order))
+
+
 # Reference JSONL readers: one json.loads and per-field checks for each line,
 # with a per-character token test. The fast readers must accept the same
 # records and raise the same errors (class, message, line) at the same line.

@@ -331,14 +331,13 @@ class TestCompose:
     @pytest.mark.parametrize("inputs", [("0",), ("0", "x y"), ("1", "1")])
     def test_every_method_fails_as_evaluate_does(self, inputs):
         """A wrong arity, a non-token and an input the table lacks raise the
-        same error from evaluate, observe and both streams."""
+        same error from evaluate, observe and the stream."""
         table = MinimiserTable({("0", "0"): ("0", "0"), ("0", "1"): ("1", "0")}, 2)
         composed = compose(make_builtin("xor"), table)
         for call in (
             composed.evaluate,
             composed.observe,
-            lambda i: next(composed.evaluate_all([i])),
-            lambda i: next(composed.observe_all([i])),
+            lambda i: next(composed.pairs([i])),
         ):
             with pytest.raises(InputOutsideDomain) as exc:
                 call(inputs)

@@ -3,6 +3,7 @@ command loads only the modules it runs."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shlex
@@ -157,3 +158,33 @@ def test_exec_commands_read_replies_without_a_queue(inputs, args, stdout):
     assert result.stdout == stdout, result.stderr
     assert "subprocess" in modules
     assert "queue" not in modules
+
+
+def _module_level_imports(tree: ast.Module):
+    """(bound name, line) for each name a module-level import binds, except
+    `from __future__` ones."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_no_unused_module_imports():
+    """Every name a module of the package imports at module level is read
+    somewhere in that module, so a fold leaves no stale import behind."""
+    package = os.path.join(SRC, "minimon")
+    unused = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{filename}:{line} {name}"
+            for name, line in _module_level_imports(tree)
+            if name not in used
+        ]
+    assert unused == []

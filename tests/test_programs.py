@@ -33,7 +33,7 @@ from minimon import programs
 from minimon.programs import BuiltinProgram, CommandProgram, save_table
 from minimon.tester import LEXICOGRAPHIC
 
-from helpers import mod_worker
+from helpers import mod_worker, outputs
 
 BENEFITS_REFERENCE = {
     ("0",): "true",
@@ -429,7 +429,7 @@ class TestCommandProgram:
         )
         with CommandProgram(argv, arity=1, timeout=5) as program:
             assert [program.evaluate((v,)) for v in "ab"] == ["ra", "rb"]
-            got, error = _pull(program.evaluate_all([("c",), ("d",), ("e",)]))
+            got, error = _pull(outputs(program, [("c",), ("d",), ("e",)]))
         assert got == ["rc"]
         assert isinstance(error, ProgramFailure)
         assert "exited with code 5 before replying" in str(error)
@@ -439,7 +439,7 @@ class TestCommandProgram:
         before = threading.active_count()
         with CommandProgram(mod_worker(1000, 10), arity=1) as program:
             order = [(str(n),) for n in range(200)]
-            assert list(program.evaluate_all(order)) == [f"o{n}" for n in range(200)]
+            assert list(outputs(program, order)) == [f"o{n}" for n in range(200)]
             assert program.evaluate(("7",)) == "o7"
             assert threading.active_count() == before
         assert threading.active_count() == before
@@ -506,7 +506,7 @@ class TestCommandProgram:
             """,
         )
         program = CommandProgram(argv, arity=1, timeout=0.5)
-        stream = program.evaluate_all([("a",), ("b",), ("c",)])
+        stream = outputs(program, [("a",), ("b",), ("c",)])
         assert next(stream) == "ra"
         proc = program._proc
         start = time.monotonic()
@@ -545,8 +545,8 @@ def _pull(stream) -> tuple[list, BaseException | None]:
 
 
 class TestPipeline:
-    """evaluate_all()/observe_all() on an exec: session: several requests in
-    flight, everything observable as with one request at a time."""
+    """pairs() on an exec: session: several requests in flight, everything
+    observable as with one request at a time."""
 
     @pytest.mark.parametrize("window", [1, 64])
     def test_chatty_worker_under_run_test_fails(self, tmp_path, monkeypatch, window):
@@ -578,7 +578,7 @@ class TestPipeline:
         with CommandProgram(argv, arity=1, timeout=0.5) as program:
             start = time.monotonic()
             worker = threading.Thread(
-                target=lambda: result.append(_pull(program.evaluate_all(order))), daemon=True
+                target=lambda: result.append(_pull(outputs(program, order))), daemon=True
             )
             worker.start()
             worker.join(timeout=10)
@@ -603,7 +603,7 @@ class TestPipeline:
             """,
         )
         with CommandProgram(argv, arity=1) as program:
-            got, error = _pull(program.evaluate_all([(v,) for v in "abcdef"]))
+            got, error = _pull(outputs(program, [(v,) for v in "abcdef"]))
         assert got == ["ra", "rb"]
         assert isinstance(error, ProgramFailure) and "exited with code 4" in str(error)
 
@@ -615,7 +615,7 @@ class TestPipeline:
         count = tmp_path / "served.txt"
         order = [("1", "2"), ("3", "4"), ("1", "2"), ("5", "6"), ("3", "4"), ("7",), ("8", "9")]
         with CommandProgram(mod_worker(1000, 10, count), arity=2) as program:
-            got, error = _pull(program.evaluate_all(order))
+            got, error = _pull(outputs(program, order))
         assert got == ["o12", "o34", "o12", "o56", "o34"]
         assert isinstance(error, ValueError) and "arity 2" in str(error)
         assert count.read_text() == "3"
@@ -624,30 +624,30 @@ class TestPipeline:
         argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
         long = "z" * (programs._WINDOW_BYTES + 10)
         with CommandProgram(argv, arity=1) as program:
-            assert list(program.evaluate_all([("a",), (long,), ("c",)])) == ["ra", "r" + long, "rc"]
+            assert list(outputs(program, [("a",), (long,), ("c",)])) == ["ra", "r" + long, "rc"]
 
     def test_replies_left_unread_are_discarded(self, tmp_path):
         """A consumer that stops early leaves replies in flight; the next
         request and close() read past them without error."""
         count = tmp_path / "served.txt"
         with CommandProgram(mod_worker(1000, 10, count), arity=1) as program:
-            stream = program.evaluate_all([(str(n),) for n in range(10)])
+            stream = outputs(program, [(str(n),) for n in range(10)])
             assert next(stream) == "o0"
             assert program.evaluate(("42",)) == "o42"
             with pytest.raises(RuntimeError, match="discarded"):
                 next(stream)
-            assert next(program.evaluate_all([("43",)])) == "o43"
+            assert next(outputs(program, [("43",)])) == "o43"
         assert count.read_text() == "12"
 
     def test_composed_stream_matches_observe(self, tmp_path):
-        """observe_all() of a composition sees the pre-processed inputs and
-        asks the inner worker once per representative."""
+        """pairs() of a composition sees the pre-processed inputs and asks
+        the inner worker once per representative."""
         domain = InputDomain([[str(n) for n in range(12)]])
         table, _ = synthesize(make_builtin("loyalty"), domain)
         count = tmp_path / "served.txt"
         order = list(domain.enumerate())
         with compose(CommandProgram(mod_worker(1000, 10, count), arity=1), table) as composed:
-            streamed = list(composed.observe_all(order))
+            streamed = [Event(*pair) for pair in composed.pairs(order)]
         with compose(CommandProgram(mod_worker(1000, 10), arity=1), table) as composed:
             single = [composed.observe(i) for i in order]
         assert streamed == single
@@ -656,8 +656,8 @@ class TestPipeline:
     def test_builtin_stream_is_the_per_input_loop(self):
         program = make_builtin("xor")
         order = [("0", "1"), ("1", "1"), ("1", "2")]
-        got, error = _pull(program.observe_all(order))
-        assert got == [Event(("0", "1"), "1"), Event(("1", "1"), "0")]
+        got, error = _pull(program.pairs(order))
+        assert got == [(("0", "1"), "1"), (("1", "1"), "0")]
         assert isinstance(error, ProgramFailure)
 
 
@@ -693,7 +693,7 @@ def test_bad_input_fails_as_ever_after_a_memo_hit(kind, bad, message):
         with pytest.raises(ValueError) as exc:
             program.evaluate(bad)
         assert (type(exc.value), str(exc.value)) == (ValueError, expected)
-        got, error = _pull(program.evaluate_all([("1", "2"), bad, ("1", "2")]))
+        got, error = _pull(outputs(program, [("1", "2"), bad, ("1", "2")]))
         assert got == ["o12"]
         assert (type(error), str(error)) == (ValueError, expected)
         got, error = _pull(program.pairs([("1", "2"), bad, ("1", "2")]))
@@ -709,7 +709,7 @@ def test_each_distinct_input_is_checked_once(monkeypatch, kind):
     monkeypatch.setattr(programs, "check_input_tuple", lambda i: checked.append(i) or check(i))
     order = [("1", "2"), ("3", "4"), ("1", "2"), ("1", "2"), ("3", "4")]
     with _o2(kind) as program:
-        assert list(program.evaluate_all(order)) == [program.evaluate(i) for i in order]
+        assert list(outputs(program, order)) == [program.evaluate(i) for i in order]
     assert checked == order[:2]
 
 
@@ -772,28 +772,24 @@ _EVEN = MinimiserTable({(str(n),): (str(n - n % 2),) for n in range(200)}, 1)
     "kind", ["builtin", "table", "exec-1", "exec-64", "composed-builtin", "composed-exec"]
 )
 def test_observe_all_yields_the_events_before_an_order_error(monkeypatch, kind, k):
-    """observe_all() and pairs() take inputs from the order as they go: an
-    order that raises at input k yields k observations, then that error."""
+    """pairs() takes inputs from the order as it goes: an order that raises
+    at input k yields k observations, then that error."""
     monkeypatch.setattr(programs, "_WINDOW", 1 if kind == "exec-1" else 64)
     observed = [(str(n),) for n in range(k)]
     if kind.startswith("composed"):
         observed = list(map(_EVEN.apply, observed))
-    for method, want in [
-        ("observe_all", [Event(i, "o" + i[0]) for i in observed]),
-        ("pairs", [(i, "o" + i[0]) for i in observed]),
-    ]:
-        if kind.endswith("builtin"):
-            program = BuiltinProgram("o", 1, lambda i: "o" + i[0])
-        elif kind == "table":
-            program = programs.TableProgram({(str(n),): f"o{n}" for n in range(200)})
-        else:
-            program = CommandProgram(mod_worker(1000, 10), arity=1)
-        if kind.startswith("composed"):
-            program = compose(program, _EVEN)
-        with program:
-            got, error = _pull(getattr(program, method)(_breaking_order(k)))
-        assert got == want, method
-        assert isinstance(error, _OrderBroke) and str(error) == f"order broke at input {k}"
+    if kind.endswith("builtin"):
+        program = BuiltinProgram("o", 1, lambda i: "o" + i[0])
+    elif kind == "table":
+        program = programs.TableProgram({(str(n),): f"o{n}" for n in range(200)})
+    else:
+        program = CommandProgram(mod_worker(1000, 10), arity=1)
+    if kind.startswith("composed"):
+        program = compose(program, _EVEN)
+    with program:
+        got, error = _pull(program.pairs(_breaking_order(k)))
+    assert got == [(i, "o" + i[0]) for i in observed]
+    assert isinstance(error, _OrderBroke) and str(error) == f"order broke at input {k}"
 
 
 # Sends n to n + 1 (mod 12): a composition's observed inputs are not its

@@ -3,6 +3,7 @@ enumeration, and trace file round-trips."""
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -17,16 +18,24 @@ from minimon import (
     Event,
     InputDomain,
     MinimiserTable,
+    Mode,
+    Monitor,
+    MonitorConfig,
     ParseError,
     TableProgram,
     Trace,
+    covers_domain,
     load_minimiser,
     load_trace,
+    monitor_eval,
     parse_trace,
+    prefix_verdicts,
+    run_test,
     save_minimiser,
     serialize_trace,
 )
-from minimon.programs import save_table
+from minimon import programs, tester, trace as trace_module
+from minimon.programs import BuiltinProgram, save_table
 from minimon.trace import is_token, iter_io_lines, parse_input_lines
 
 from helpers import (
@@ -197,6 +206,93 @@ def test_parsed_trace_equals_constructed_trace(events):
     assert parsed == built
     assert parsed.arity == built.arity
     assert parsed._first_seen == built._first_seen
+
+
+@st.composite
+def _deterministic_events(draw) -> list[Event]:
+    """Events of one arity (1 to 3) drawn from a few inputs, each input
+    always with the same output, so inputs repeat."""
+    arity = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.sampled_from(["0", "1", "x"])] * arity)
+    inputs = draw(st.lists(coords, min_size=1, max_size=6, unique=True))
+    outputs = draw(st.lists(st.sampled_from("abc"), min_size=len(inputs), max_size=len(inputs)))
+    picks = draw(st.lists(st.integers(0, len(inputs) - 1), max_size=12))
+    return [Event(inputs[k], outputs[k]) for k in picks]
+
+
+def _read(sequence, index):
+    """sequence[index], or the class and message of what it raises."""
+    try:
+        return sequence[index]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_deterministic_events())
+def test_trace_reads_the_same_however_it_was_built(events):
+    """Trace(events), a chain of appends, a parse of the serialised trace
+    and a monitor's trace_of over the stepped pairs are one trace: equal,
+    with the hash of the event tuple, and read back as the same Events."""
+    pairs = [(e.inputs, e.output) for e in events]
+    monitor = Monitor(MonitorConfig(Mode.MONOLITHIC))
+    for _ in monitor.steps(pairs):
+        pass
+    built = Trace(events)
+    traces = [
+        built,
+        functools.reduce(Trace.append, events, Trace()),
+        parse_trace(serialize_trace(built)),
+        monitor.trace_of(pairs),
+    ]
+    n = len(events)
+    indices = [*range(-n - 2, n + 2), "0"]
+    bounds = [None, -n - 1, -1, 0, 1, n, n + 1]
+    slices = [slice(a, b, c) for a in bounds for b in bounds for c in (None, 2, -1)]
+    for trace in traces:
+        assert trace == built and hash(trace) == hash(built) == hash(tuple(events))
+        assert len(trace) == n
+        assert trace.events == tuple(events) and list(trace) == events
+        assert trace.arity == (events[0].arity if events else None)
+        assert trace._first_seen == built._first_seen
+        for index in [*indices, *slices]:
+            assert _read(trace, index) == _read(tuple(events), index), index
+        assert all(type(trace[i]) is Event for i in range(-n, n))
+        assert all(type(e) is Event for e in trace[::-1])
+
+
+def test_no_event_is_built_below_the_api_edge(monkeypatch, tmp_path):
+    """Loading, monitoring, testing, covering and serialising a trace pass
+    (inputs, output) pairs: no Event is built until a caller reads one."""
+    built = []
+    make = trace_module._checked_event
+
+    def counting(inputs, output):
+        built.append((inputs, output))
+        return make(inputs, output)
+
+    for module in (trace_module, programs, tester):
+        if hasattr(module, "_checked_event"):
+            monkeypatch.setattr(module, "_checked_event", counting)
+    domain = InputDomain([["0", "1"], ["0", "1", "2"]])
+    text = "".join(
+        f'{{"in":["{a}","{b}"],"out":"{a}{b}"}}\n' for a, b in [*domain.enumerate(), ("1", "2")]
+    )
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    traces = [load_trace(str(path)), parse_trace(text)]
+    program = BuiltinProgram("join", 2, "".join)
+    reports = [run_test(program, domain, mode) for mode in Mode]
+    for trace in traces:
+        for mode in Mode:
+            config = MonitorConfig(mode, domain)
+            assert monitor_eval(config, trace)[0].value == "TRUE"
+            assert len(prefix_verdicts(config, trace)) == len(trace) == 7
+        assert covers_domain(domain, trace)
+        assert serialize_trace(trace) == text
+    assert built == []
+    event = reports[0].trace[2]
+    assert built == [(event.inputs, event.output)]
 
 
 class TestDomain:
