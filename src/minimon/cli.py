@@ -32,9 +32,11 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 _EXIT_BY_VERDICT = {Verdict.TRUE: EXIT_TRUE, Verdict.FALSE: EXIT_FALSE, Verdict.UNKNOWN: EXIT_UNKNOWN}
-# Verdict.value is a descriptor lookup; monitor and check-trace --json need
-# the text of every step.
+# Verdict.value is a descriptor lookup; check-trace --json needs the text of
+# every step.
 _TEXT_BY_VERDICT = {verdict: verdict.value for verdict in Verdict}
+# monitor: step lines per write off a terminal.
+_LINES_PER_WRITE = 64
 _MODES = {"mono": Mode.MONOLITHIC, "sdist": Mode.STRONG_DISTRIBUTED}
 # test --strategy: the name of the `tester` constant for each.
 _STRATEGIES = {"rand": "RANDOM_PERMUTATION", "lex": "LEXICOGRAPHIC"}
@@ -156,6 +158,21 @@ def _random_inputs(domain: InputDomain, seed: int):
         yield tuple(rnd.choice(src) for src in domain.sources)
 
 
+def _write_lines(out, lines: list[str]) -> None:
+    """Write `lines`, each ending in a newline, with one write, and clear
+    the list first, so that no line is handed to `out` twice."""
+    batch = lines[:]
+    lines.clear()
+    try:
+        out.write("".join(batch))
+    except UnicodeEncodeError:
+        # The encoder failed before anything was written. Line by line, the
+        # lines before the one that cannot be encoded are written and the
+        # error gives the position in that line, as one print per line did.
+        for line in batch:
+            out.write(line)
+
+
 def cmd_monitor(args) -> int:
     domain = load_domain(args.domain) if args.domain else None
     if args.inputs is not None:
@@ -172,14 +189,29 @@ def cmd_monitor(args) -> int:
         arity = domain.arity
     program = _load_composed(args, arity)
     monitor = Monitor(MonitorConfig(_MODES[args.mode], domain))
+    # One step line per input, nearly all UNKNOWN: off a terminal they are
+    # written _LINES_PER_WRITE at a time, as one print each would cost two
+    # write(2) calls when stdout is unbuffered. On a terminal each line is
+    # written as its step completes. The finally writes the completed steps'
+    # lines before an error reaches main, and before the witness line.
+    out = sys.stdout
+    per_write = 1 if out.isatty() else _LINES_PER_WRITE
+    pending: list[str] = []
     with program:
         pairs = program.pairs(itertools.islice(stream, max(args.max_steps, 0)))
         printed, stepped = itertools.tee(pairs)  # each pair's line, and its step
         steps = zip(printed, monitor.steps(stepped))
-        for step_no, ((observed, output), verdict) in enumerate(steps, start=1):
-            print(f"{step_no}\t{','.join(observed)}\t{output}\t{_TEXT_BY_VERDICT[verdict]}")
-            if verdict is not Verdict.UNKNOWN:
-                break
+        try:
+            for step_no, ((observed, output), verdict) in enumerate(steps, start=1):
+                if verdict is not Verdict.UNKNOWN:
+                    pending.append(f"{step_no}\t{','.join(observed)}\t{output}\t{verdict.value}\n")
+                    break
+                pending.append(f"{step_no}\t{','.join(observed)}\t{output}\tUNKNOWN\n")
+                if len(pending) == per_write:
+                    _write_lines(out, pending)
+        finally:
+            if pending:
+                _write_lines(out, pending)
     if monitor.witness is not None:
         print(_witness_text(monitor.witness))
     return _EXIT_BY_VERDICT[monitor.verdict]

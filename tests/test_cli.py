@@ -400,6 +400,124 @@ class TestMonitor:
         assert result.returncode == 3
         assert "error:" in result.stderr
 
+    def test_completed_steps_are_written_before_an_input_outside_the_domain(self, files):
+        """Input 130 of 150 is outside the domain: the 129 steps before it
+        are all on stdout, past several write batches, and then the error."""
+        values = [str(n) for n in range(150)]
+        values[129] = "500"
+        inputs = files("inputs.jsonl", "".join(f'{{"in":["{v}"]}}\n' for v in values))
+        domain = files("d.json", '{"sources":[{"range":[0,199]}]}')
+        result = run_cli(
+            "monitor", "--program", "builtin:identity", "--mode", "mono",
+            "--domain", domain, "--inputs", inputs,
+        )
+        assert result.returncode == 3
+        assert result.stdout.splitlines() == [f"{n}\t{n - 1}\t{n - 1}\tUNKNOWN" for n in range(1, 130)]
+        assert result.stderr == (
+            "error: input ('500',) at position 129 is outside the declared domain\n"
+        )
+
+    def test_completed_steps_are_written_before_a_program_failure(self, files):
+        """The exec: worker exits at request 100: the 99 steps it answered
+        are all on stdout, and then the ProgramFailure."""
+        inputs = files("inputs.jsonl", "".join(f'{{"in":["{n}"]}}\n' for n in range(150)))
+        argv = [sys.executable, "-S", "-c", _EXIT_AT_REQUEST, "100"]
+        result = run_cli(
+            "monitor", "--program", "exec:" + shlex.join(argv), "--mode", "mono",
+            "--inputs", inputs,
+        )
+        assert result.returncode == 3
+        assert result.stdout.splitlines() == [f"{n}\t{n - 1}\tr{n - 1}\tUNKNOWN" for n in range(1, 100)]
+        assert result.stderr == (
+            f"error: {' '.join(argv)!r}: process exited with code 0 before replying\n"
+        )
+
+    @pytest.mark.parametrize("case", ["false", "true", "max-steps", "unencodable"])
+    def test_lines_per_write_changes_no_byte(self, case, files, monkeypatch, capsys):
+        """A 200-step replay that ends early in FALSE, in TRUE, at
+        --max-steps 150, or at an output that stdout cannot encode: the same
+        stdout, stderr and exit code at every batch size."""
+        from minimon import cli
+
+        values = [str(n) for n in range(200)]
+        program, extra, expected = "builtin:identity", [], (0, 200, "")
+        if case == "false":  # input 150 shares input 0's output
+            program = "table:" + files("t.jsonl", "".join(
+                f'{{"in":["{n}"],"out":"o{n % 150}"}}\n' for n in range(200)))
+            expected = (1, 152, "")
+        elif case == "true":
+            extra = ["--domain", files("d.json", '{"sources":[{"range":[0,199]}]}')]
+        elif case == "max-steps":
+            extra, expected = ["--max-steps", "150"], (2, 150, "")
+        else:  # a lone surrogate escape is a valid token that UTF-8 cannot encode
+            values[99] = "a\\ud800"
+            expected = (3, 99, "error: 'utf-8' codec can't encode character '\\ud800' "
+                               "in position 5: surrogates not allowed\n")
+        inputs = files("inputs.jsonl", "".join(f'{{"in":["{v}"]}}\n' for v in values))
+        runs = []
+        for per_write in (1, 7, 64):
+            monkeypatch.setattr(cli, "_LINES_PER_WRITE", per_write)
+            code = main(["monitor", "--program", program, "--mode", "mono", "--inputs", inputs, *extra])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1] == runs[2]
+        code, captured = runs[0]
+        assert (code, len(captured.out.splitlines()), captured.err) == expected
+
+    @pytest.mark.parametrize("tty, writes", [(True, 150), (False, 3)])
+    def test_one_write_per_step_on_a_terminal(self, files, tty, writes):
+        """On a terminal each step line is one write as its step completes;
+        off one, 150 lines are 3 writes: 64, 64 and 22 lines."""
+
+        class Stdout(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def isatty(self):
+                return tty
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        inputs = files("inputs.jsonl", "".join(f'{{"in":["{n}"]}}\n' for n in range(200)))
+        out = Stdout()
+        with contextlib.redirect_stdout(out):
+            code = main(["monitor", "--program", "builtin:identity", "--mode", "mono",
+                         "--inputs", inputs, "--max-steps", "150"])
+        assert code == 2
+        assert len(out.writes) == writes
+        assert "".join(out.writes) == "".join(f"{n}\t{n - 1}\t{n - 1}\tUNKNOWN\n" for n in range(1, 151))
+
+    def test_closed_stdout_is_a_broken_pipe_error(self, files):
+        """`minimon monitor ... | head -2`: once the reader is gone, the
+        next write fails, and minimon exits 3 with one error line and no
+        traceback."""
+        domain = files("d.json", '{"sources":[{"range":[0,1000000]}]}')
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minimon", "monitor", "--program", "builtin:identity",
+             "--mode", "mono", "--domain", domain, "--random", "--max-steps", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        with proc:
+            head = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 3
+        assert [line.count(b"\t") for line in head] == [3, 3]
+        assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+# Echoes "r<input>" until request argv[1], where it exits without a reply.
+_EXIT_AT_REQUEST = """\
+import sys
+for served, line in enumerate(sys.stdin, start=1):
+    if served == int(sys.argv[1]):
+        sys.exit(0)
+    sys.stdout.write("r" + line)
+    sys.stdout.flush()
+"""
+
 
 class TestTest:
     def test_xor_strong_dist_json(self, files):
