@@ -366,4 +366,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import hard_exit
+
+    hard_exit(main())

@@ -8,7 +8,9 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -801,3 +803,170 @@ def test_deeply_nested_json_is_a_parse_error(files):
         result = run_cli(*command)
         assert (result.returncode, result.stdout) == (3, ""), command
         assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr, command
+
+
+# The ways into the CLI as a process, each as `python -c` code that runs it;
+# the `minimon` script's is read from pyproject.toml, as its wrapper does.
+_SCRIPT = re.search(
+    r'^minimon = "([\w.]+):(\w+)"$',
+    pathlib.Path(__file__).parent.parent.joinpath("pyproject.toml").read_text(),
+    re.MULTILINE,
+)
+_WAYS_IN = {
+    "python -m minimon": "import runpy; runpy.run_module('minimon', run_name='__main__')",
+    "python -m minimon.cli": "import runpy; runpy.run_module('minimon.cli', run_name='__main__')",
+    "minimon script": f"import sys; from {_SCRIPT[1]} import {_SCRIPT[2]}; sys.exit({_SCRIPT[2]}())",
+}
+# The ordinary exit, teardown included: the reference for how a process ends.
+_ORDINARY_EXIT = "import sys; from minimon.cli import main; sys.exit(main())"
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _a_child_is_unreaped() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+# (argv, with {name} for a file of `exit_inputs`; MINIMON_BUDGET or None;
+# exit code; what stderr holds)
+_COMMANDS = {
+    "check-trace": (["check-trace", "--trace", "{trace}", "--mode", "mono", "--domain", "{domain}"], None, 1, ""),
+    "monitor-builtin": (["monitor", "--program", "builtin:xor", "--mode", "mono", "--inputs", "{inputs}"], None, 1, ""),
+    "monitor-exec": (["monitor", "--program", "{worker}", "--mode", "sdist", "--inputs", "{inputs}"], None, 2, ""),
+    "test": (["test", "--program", "{worker}", "--domain", "{domain}", "--mode", "mono"], None, 0, ""),
+    "synth-min": (["synth-min", "--program", "{worker}", "--domain", "{domain}", "--out", "{out}"], None, 0, ""),
+    "check-pre": (["check-pre", "--program", "{worker}", "--domain", "{domain}", "--pre", "{pre}"], None, 0, ""),
+    "oracle": (["oracle", "--table", "{trace}", "--notion", "dist"], None, 0, ""),
+    "parse-error": (["check-trace", "--trace", "{bad}", "--mode", "mono"], None, 3, "error: line 2: invalid JSON"),
+    "program-failure": (["monitor", "--program", "{exits}", "--mode", "mono", "--inputs", "{inputs1}"], None, 3,
+                        "process exited with code 0 before replying"),
+    "budget-exceeded": (["test", "--program", "{worker}", "--domain", "{domain}", "--mode", "mono"], "1", 3,
+                        "budget is 1"),
+}
+
+
+@pytest.fixture
+def exit_inputs(files, tmp_path):
+    return {
+        "trace": files("t.jsonl", XOR_TRACE),
+        "domain": files("d.json", BITS_DOMAIN),
+        "inputs": files("inputs.jsonl", "".join(f'{{"in":["{n % 2}","{n // 2 % 2}"]}}\n' for n in range(100))),
+        "inputs1": files("inputs1.jsonl", "".join(f'{{"in":["{n}"]}}\n' for n in range(100))),
+        "pre": files("pre.jsonl", "".join(
+            f'{{"from":["{a}","{b}"],"to":["{a}","{b}"]}}\n' for a in "01" for b in "01"
+        )),
+        "bad": files("bad.jsonl", '{"in":["0","0"],"out":"0"}\n{"in":["0"\n'),
+        "out": str(tmp_path / "min.jsonl"),
+        "worker": "exec:" + shlex.join(mod_worker(1000, 10)),
+        # Exits at request 3, with the rest of the first window unanswered.
+        "exits": "exec:" + shlex.join([sys.executable, "-S", "-c", _EXIT_AT_REQUEST, "3"]),
+    }
+
+
+class TestProcessEnd:
+    """`python -m minimon`, `python -m minimon.cli` and the `minimon` script
+    run `main()` and then end the process without interpreter teardown.
+    That is safe only while a command leaves no file open and no child
+    unreaped, and it must end the process as an ordinary exit would."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+    @pytest.mark.parametrize("name", _COMMANDS)
+    def test_a_command_leaves_nothing_open(self, name, exit_inputs, monkeypatch, capsys):
+        template, budget, code, err = _COMMANDS[name]
+        if budget is not None:
+            monkeypatch.setenv("MINIMON_BUDGET", budget)
+        argv = [arg.format(**exit_inputs) for arg in template]
+        assert not _a_child_is_unreaped(), "a child of an earlier test is unreaped"
+        before = _open_fds()
+        assert main(argv) == code
+        stderr = capsys.readouterr().err
+        assert (err in stderr) if err else (stderr == ""), stderr
+        assert _open_fds() == before
+        assert not _a_child_is_unreaped()
+
+    @pytest.mark.parametrize("way", _WAYS_IN)
+    def test_every_way_in_ends_without_teardown(self, way, files):
+        """An object of the `-c` code's module would be freed in teardown;
+        its finalizer never runs, and the verdict and exit code are those of
+        an ordinary exit."""
+        probe = (
+            "import sys\n"
+            "class Probe:\n"
+            "    def __del__(self):\n"
+            "        sys.stderr.write('teardown\\n')\n"
+            "probe = Probe()\n"
+        )
+        trace = files("t.jsonl", TABLE1_TRACE)
+        args = ["check-trace", "--trace", trace, "--mode", "mono"]
+        ordinary = subprocess.run([sys.executable, "-c", probe + _ORDINARY_EXIT, *args],
+                                  capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-c", probe + _WAYS_IN[way], *args],
+                                capture_output=True, text=True)
+        assert ordinary.stderr == "teardown\n"
+        assert (result.returncode, result.stdout, result.stderr) == (1, ordinary.stdout, "")
+
+    def test_importing_the_entry_module_runs_nothing(self):
+        from minimon import __main__ as entry
+
+        assert callable(entry.run) and callable(entry.hard_exit)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_is_reported_as_by_an_ordinary_exit(self, unbuffered, files):
+        """Buffered, the verdict is written only by the final flush, which
+        fails: the process then exits the ordinary way, which reports the
+        failure with exit 120. Unbuffered, the print fails inside the
+        command: exit 3 with one error line."""
+        trace = files("t.jsonl", TABLE1_TRACE)
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+
+        def run(*argv):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                return subprocess.run(
+                    [sys.executable, *argv, "check-trace", "--trace", trace, "--mode", "mono"],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+                )
+            finally:
+                os.close(write_end)
+
+        ordinary = run("-c", _ORDINARY_EXIT)
+        result = run("-m", "minimon")
+        assert (result.returncode, result.stderr) == (ordinary.returncode, ordinary.stderr)
+        if unbuffered:
+            assert (result.returncode, result.stderr) == (3, b"error: [Errno 32] Broken pipe\n")
+        else:
+            assert result.returncode == 120
+            assert result.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    def test_atexit_handlers_run_once_after_the_verdict(self, files):
+        trace = files("t.jsonl", TABLE1_TRACE)
+        code = (
+            "import atexit, runpy; atexit.register(print, 'atexit handler'); "
+            "runpy.run_module('minimon', run_name='__main__')"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "check-trace", "--trace", trace, "--mode", "mono"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == "FALSE" and lines[1].startswith("witness: ")
+        assert lines[2:] == ["atexit handler"]
+
+    def test_synth_min_writes_the_same_file_as_in_process(self, files, tmp_path, capsys):
+        domain = files("d.json", '{"sources":[{"range":[0,100]}]}')
+        args = ["synth-min", "--program", "builtin:loyalty", "--domain", domain, "--out"]
+        assert main([*args, str(tmp_path / "in-process.jsonl")]) == 0
+        result = run_cli(*args, str(tmp_path / "process.jsonl"))
+        assert result.returncode == 0, result.stderr
+        written = (tmp_path / "process.jsonl").read_bytes()
+        assert written == (tmp_path / "in-process.jsonl").read_bytes() != b""
