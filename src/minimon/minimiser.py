@@ -13,14 +13,14 @@ from __future__ import annotations
 import operator
 import random
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .programs import Program, stream
 from .properties import CollisionIndex, Mode
 from .tester import check_arity, check_budget
 from .trace import (
-    Event, InputDomain, InputTuple, _all_tokens, _json_tokens, file_lines, json_lines, token_array,
+    Event, InputDomain, InputTuple, _all_tokens, _Frozen, _json_tokens, _Record, file_lines,
+    json_lines, token_array,
 )
 
 DEFAULT_SYNTH_CAP = 10**6
@@ -29,24 +29,30 @@ REP_LEAST = "least"
 REP_FIRST = "first"
 
 
-@dataclass
-class PartitionMap:
+class PartitionMap(_Record):
     """Domain inputs grouped by program output (groups in first-seen order,
     members in visitation order)."""
 
+    _fields = ("classes",)
     classes: dict[str, tuple[InputTuple, ...]]
+
+    def __init__(self, classes: dict[str, tuple[InputTuple, ...]]) -> None:
+        self._set(classes)
 
     @property
     def count(self) -> int:
         return len(self.classes)
 
 
-@dataclass
-class MinimiserTable:
+class MinimiserTable(_Record):
     """A total input -> representative map over some domain."""
 
+    _fields = ("mapping", "arity")
     mapping: dict[InputTuple, InputTuple]
     arity: int
+
+    def __init__(self, mapping: dict[InputTuple, InputTuple], arity: int) -> None:
+        self._set(mapping, arity)
 
     @property
     def representatives(self) -> frozenset[InputTuple]:
@@ -109,23 +115,33 @@ def synthesize(
     return MinimiserTable(mapping, domain.arity), partition
 
 
-@dataclass(frozen=True)
-class ValidationFailure:
+class ValidationFailure(_Frozen):
     """One counterexample found by validate_preprocessor."""
 
+    _fields = ("kind", "inputs", "note")
     kind: str
     inputs: tuple[InputTuple, ...]
     note: str
+
+    def __init__(self, kind: str, inputs: tuple[InputTuple, ...], note: str) -> None:
+        self._set(kind, inputs, note)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "inputs": [list(i) for i in self.inputs], "note": self.note}
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(_Record):
+    """Outcome of validate_preprocessor."""
+
+    _fields = ("is_preprocessor", "is_minimiser", "failures")
     is_preprocessor: bool
     is_minimiser: bool
     failures: list[ValidationFailure]
+
+    def __init__(
+        self, is_preprocessor: bool, is_minimiser: bool, failures: list[ValidationFailure]
+    ) -> None:
+        self._set(is_preprocessor, is_minimiser, failures)
 
     def to_dict(self) -> dict:
         return {

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputOutsideDomain
 from .properties import CollisionIndex, Mode, Witness
-from .trace import Event, InputDomain, InputTuple, Trace, _conflict, _FirstSeen
+from .trace import Event, InputDomain, InputTuple, Trace, _conflict, _FirstSeen, _Frozen
 
 
 class Verdict(Enum):
@@ -36,15 +35,18 @@ class Verdict(Enum):
 _UNKNOWN = Verdict.UNKNOWN
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(_Frozen):
     """Monitoring mode plus the optional declared input domain.
 
     Without a domain the monitor can never conclude TRUE (two-case mode).
     """
 
+    _fields = ("mode", "domain")
     mode: Mode
     domain: InputDomain | None = None
+
+    def __init__(self, mode: Mode, domain: InputDomain | None = None) -> None:
+        self._set(mode, domain)
 
 
 class Monitor:

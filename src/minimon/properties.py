@@ -9,11 +9,10 @@ the incremental equivalents live in `monitor` and must agree.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputOutsideDomain
-from .trace import InputDomain, InputTuple, Trace
+from .trace import InputDomain, InputTuple, Trace, _Frozen
 
 
 class Mode(Enum):
@@ -24,23 +23,26 @@ class Mode(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """A violating pair of trace positions.
 
     index_a < index_b, outputs equal; the inputs differ (monolithic) or
     differ at exactly `differing_source` (strong-distributed, 0-based).
     """
 
+    _fields = ("kind", "index_a", "index_b", "differing_source")
     kind: Mode
     index_a: int
     index_b: int
     differing_source: int | None = None
 
-    def __post_init__(self):
-        if not 0 <= self.index_a < self.index_b:
-            raise ValueError(f"bad witness indices ({self.index_a}, {self.index_b})")
-        if (self.differing_source is not None) != (self.kind is Mode.STRONG_DISTRIBUTED):
+    def __init__(
+        self, kind: Mode, index_a: int, index_b: int, differing_source: int | None = None
+    ) -> None:
+        self._set(kind, index_a, index_b, differing_source)
+        if not 0 <= index_a < index_b:
+            raise ValueError(f"bad witness indices ({index_a}, {index_b})")
+        if (differing_source is not None) != (kind is Mode.STRONG_DISTRIBUTED):
             raise ValueError("differing_source is for strong-distributed witnesses only")
 
     def to_dict(self) -> dict:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DomainMismatch
 from .monitor import Monitor, MonitorConfig, Verdict
 from .programs import stream
 from .properties import Mode, Witness, least_collision
-from .trace import InputDomain, InputTuple, Trace
+from .trace import InputDomain, InputTuple, Trace, _Frozen, _Record
 
 RANDOM_PERMUTATION = "random-permutation"
 LEXICOGRAPHIC = "lexicographic"
@@ -48,12 +47,15 @@ def check_arity(program, domain: InputDomain) -> None:
         )
 
 
-@dataclass
-class FunctionTable:
+class FunctionTable(_Record):
     """A program materialised as a total map over a product domain."""
 
+    _fields = ("domain", "outputs")
     domain: InputDomain
     outputs: dict[InputTuple, str]
+
+    def __init__(self, domain: InputDomain, outputs: dict[InputTuple, str]) -> None:
+        self._set(domain, outputs)
 
 
 def build_table(program, domain: InputDomain) -> FunctionTable:
@@ -66,23 +68,31 @@ def build_table(program, domain: InputDomain) -> FunctionTable:
     return FunctionTable(domain, {inputs: out for inputs, (_, out) in pairs})
 
 
-@dataclass(frozen=True)
-class CollisionWitness:
+class CollisionWitness(_Frozen):
     """Two domain inputs sharing an output; `differing_source` set when the
     collision is between inputs at Hamming distance 1."""
 
+    _fields = ("input_a", "input_b", "differing_source")
     input_a: InputTuple
     input_b: InputTuple
     differing_source: int | None = None
 
+    def __init__(
+        self, input_a: InputTuple, input_b: InputTuple, differing_source: int | None = None
+    ) -> None:
+        self._set(input_a, input_b, differing_source)
 
-@dataclass(frozen=True)
-class IndistinguishablePair:
+
+class IndistinguishablePair(_Frozen):
     """Two values of one source that no context of the others separates."""
 
+    _fields = ("source", "value_a", "value_b")
     source: int
     value_a: str
     value_b: str
+
+    def __init__(self, source: int, value_a: str, value_b: str) -> None:
+        self._set(source, value_a, value_b)
 
 
 def _table_collision(table: FunctionTable, mode: Mode) -> tuple[bool, CollisionWitness | None]:
@@ -137,16 +147,22 @@ def table_dist_minimal(table: FunctionTable) -> tuple[bool, IndistinguishablePai
     return True, None
 
 
-@dataclass
-class TestReport:
+class TestReport(_Record):
     """Outcome of a full-domain test run. Verdicts are always conclusive."""
 
+    _fields = ("verdict", "witness", "steps", "trace", "strategy", "seed")
     verdict: Verdict
     witness: Witness | None
     steps: int
     trace: Trace
     strategy: str
     seed: int | None
+
+    def __init__(
+        self, verdict: Verdict, witness: Witness | None, steps: int, trace: Trace,
+        strategy: str, seed: int | None,
+    ) -> None:
+        self._set(verdict, witness, steps, trace, strategy, seed)
 
     def to_dict(self) -> dict:
         return {

@@ -13,8 +13,8 @@ import json
 import re
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from io import TextIOBase
+from operator import attrgetter
 
 from .errors import DeterminismViolation, ParseError
 
@@ -75,16 +75,59 @@ def _canonical_source(tokens: set[str]) -> tuple[str, ...]:
     return tuple(sorted(tokens, key=_source_key(tokens)))
 
 
-@dataclass(frozen=True)
-class Event:
+class _Record:
+    """Base of the public record types: the equality and repr that a
+    dataclass generates, from the `_fields` tuple. Mutable, so unhashable:
+    a class that defines __eq__ alone gets __hash__ = None."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:  # every subclass but _Frozen
+            cls.__match_args__ = cls._fields
+            # An attrgetter binds no self: call self._values(self). One field gives the bare value.
+            cls._values = attrgetter(*cls._fields)
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields __init__ sets once; it hashes as their tuple."""
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Event(_Frozen):
     """One observation: an input tuple and the output it produced."""
 
+    _fields = ("inputs", "output")
     inputs: InputTuple
     output: str
 
-    def __post_init__(self):
-        check_input_tuple(self.inputs)
-        check_token(self.output)
+    def __init__(self, inputs: InputTuple, output: str) -> None:
+        # The most-built record sets its fields without _set's loop.
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "output", output)
+        check_input_tuple(inputs)
+        check_token(output)
 
     @property
     def arity(self) -> int:
@@ -154,7 +197,7 @@ class Trace:
         return isinstance(other, Trace) and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        # hash(tuple(events)), since a frozen dataclass Event hashes as (inputs, output).
+        # hash(tuple(events)), since Event.__hash__ is hash((inputs, output)).
         return hash(self._pairs)
 
     def __repr__(self) -> str:

@@ -4,15 +4,25 @@ command loads only the modules it runs."""
 from __future__ import annotations
 
 import ast
+import copy
+import inspect
 import json
 import os
+import pickle
 import shlex
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 import minimon
+from minimon import (
+    CollisionWitness, Event, FunctionTable, IndistinguishablePair, InputDomain, MinimiserTable,
+    Mode, MonitorConfig, PartitionMap, Trace, ValidationReport, Verdict, Witness,
+)
+from minimon.minimiser import ValidationFailure
+from minimon.trace import InputTuple, check_input_tuple, check_token
 
 from helpers import mod_worker
 
@@ -188,3 +198,255 @@ def test_no_unused_module_imports():
             if name not in used
         ]
     assert unused == []
+
+
+# The record types as they were declared with @dataclass. Each twin has the
+# same fields, defaults, checks and to_dict; its string annotations resolve
+# in this module, which imports every name they use.
+
+
+@dataclass(frozen=True)
+class EventTwin:
+    inputs: InputTuple
+    output: str
+
+    def __post_init__(self):
+        check_input_tuple(self.inputs)
+        check_token(self.output)
+
+
+@dataclass(frozen=True)
+class WitnessTwin:
+    kind: Mode
+    index_a: int
+    index_b: int
+    differing_source: int | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.index_a < self.index_b:
+            raise ValueError(f"bad witness indices ({self.index_a}, {self.index_b})")
+        if (self.differing_source is not None) != (self.kind is Mode.STRONG_DISTRIBUTED):
+            raise ValueError("differing_source is for strong-distributed witnesses only")
+
+    to_dict = Witness.to_dict
+
+
+@dataclass(frozen=True)
+class MonitorConfigTwin:
+    mode: Mode
+    domain: InputDomain | None = None
+
+
+@dataclass
+class FunctionTableTwin:
+    domain: InputDomain
+    outputs: dict[InputTuple, str]
+
+
+@dataclass(frozen=True)
+class CollisionWitnessTwin:
+    input_a: InputTuple
+    input_b: InputTuple
+    differing_source: int | None = None
+
+
+@dataclass(frozen=True)
+class IndistinguishablePairTwin:
+    source: int
+    value_a: str
+    value_b: str
+
+
+@dataclass
+class TestReportTwin:
+    __test__ = False  # not a test class, despite its name
+
+    verdict: Verdict
+    witness: Witness | None
+    steps: int
+    trace: Trace
+    strategy: str
+    seed: int | None
+
+    to_dict = minimon.TestReport.to_dict
+
+
+@dataclass
+class PartitionMapTwin:
+    classes: dict[str, tuple[InputTuple, ...]]
+
+
+@dataclass
+class MinimiserTableTwin:
+    mapping: dict[InputTuple, InputTuple]
+    arity: int
+
+
+@dataclass(frozen=True)
+class ValidationFailureTwin:
+    kind: str
+    inputs: tuple[InputTuple, ...]
+    note: str
+
+    to_dict = ValidationFailure.to_dict
+
+
+@dataclass
+class ValidationReportTwin:
+    is_preprocessor: bool
+    is_minimiser: bool
+    failures: list[ValidationFailure]
+
+    to_dict = ValidationReport.to_dict
+
+
+_DOMAIN = InputDomain([["0", "1"]])
+_TRACE = Trace([Event(("0",), "a"), Event(("1",), "a")])
+_FAILURE_ARGS = ("not-idempotent", (("0",), ("1",)), "note")
+
+# record type -> (its twin, arguments, arguments of an unequal record)
+RECORDS = {
+    Event: (EventTwin, (("0", "1"), "1"), (("0", "1"), "2")),
+    Witness: (WitnessTwin, (Mode.MONOLITHIC, 0, 1), (Mode.STRONG_DISTRIBUTED, 0, 1, 0)),
+    MonitorConfig: (MonitorConfigTwin, (Mode.MONOLITHIC,), (Mode.MONOLITHIC, _DOMAIN)),
+    FunctionTable: (FunctionTableTwin, (_DOMAIN, {("0",): "a"}), (_DOMAIN, {("0",): "b"})),
+    CollisionWitness: (CollisionWitnessTwin, (("0",), ("1",)), (("0",), ("1",), 0)),
+    IndistinguishablePair: (IndistinguishablePairTwin, (0, "a", "b"), (1, "a", "b")),
+    minimon.TestReport: (
+        TestReportTwin,
+        (Verdict.TRUE, None, 2, _TRACE, "lexicographic", None),
+        (Verdict.FALSE, Witness(Mode.MONOLITHIC, 0, 1), 2, _TRACE, "random-permutation", 0),
+    ),
+    PartitionMap: (PartitionMapTwin, ({"a": (("0",), ("1",))},), ({"a": (("0",),)},)),
+    MinimiserTable: (MinimiserTableTwin, ({("1",): ("0",)}, 1), ({("1",): ("1",)}, 1)),
+    ValidationFailure: (ValidationFailureTwin, _FAILURE_ARGS, ("x", (), "note")),
+    ValidationReport: (
+        ValidationReportTwin, (True, True, []), (True, False, [ValidationFailure(*_FAILURE_ARGS)])
+    ),
+}
+FROZEN = {Event, Witness, MonitorConfig, CollisionWitness, IndistinguishablePair, ValidationFailure}
+
+
+def _outcome(action):
+    """What `action()` returns, or the type and text of what it raises; a
+    dataclass's FrozenInstanceError counts as the AttributeError it
+    subclasses."""
+    try:
+        return "returned", action()
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return type(exc).__name__.replace("FrozenInstanceError", "AttributeError"), str(exc)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_behaves_as_its_dataclass_twin(cls):
+    """Each record type takes the arguments its twin takes, and compares,
+    hashes, prints, copies and takes or refuses assignments as it does."""
+    twin, args, other_args = RECORDS[cls]
+    # Reprs and error messages name the class.
+    twin.__name__, twin.__qualname__ = cls.__name__, cls.__qualname__
+    assert inspect.signature(cls, eval_str=True) == inspect.signature(twin, eval_str=True)
+    assert cls.__match_args__ == twin.__match_args__
+
+    def compared(kind):
+        sub = type("Sub", (kind,), {})
+        a, b, c = kind(*args), kind(*args), kind(*other_args)
+        keywords = kind(**inspect.signature(kind).bind(*args).arguments)
+        checks = [a == b, a != b, a == c, a != c, a == keywords, a == sub(*args), sub(*args) == a,
+                  a != sub(*args), a == args, a.__eq__(object()), repr(a), repr(c),
+                  copy.copy(a) == a, copy.deepcopy(c) == c]
+        if hasattr(kind, "to_dict"):
+            checks += [a.to_dict(), c.to_dict()]
+        checks += [_outcome(lambda: hash(a)), _outcome(lambda: {a, b, c} == {a, c})]
+        for name in (*cls.__match_args__, "extra"):
+            checks += [_outcome(lambda: setattr(c, name, getattr(a, name, None)))]
+            checks += [_outcome(lambda: delattr(a, name)), _outcome(lambda: a == c)]
+        return checks
+
+    assert compared(cls) == compared(twin)
+    record = cls(*other_args)
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_record_hashing_matches_the_dataclass_rule():
+    """A frozen record hashes as the tuple of its fields; a mutable one is
+    unhashable."""
+    for cls, (twin, args, _) in RECORDS.items():
+        record = cls(*args)
+        if cls in FROZEN:
+            assert hash(record) == hash(tuple(getattr(record, f) for f in cls.__match_args__))
+        else:
+            assert cls.__hash__ is twin.__hash__ is None
+            with pytest.raises(TypeError, match="^unhashable type: "):
+                hash(record)
+    inputs, output = ("0", "1"), "1"
+    assert hash(Event(inputs, output)) == hash((inputs, output))
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (Event, (("0",), "a b")),
+        (Event, ((), "1")),
+        (Event, (["0"], "1")),
+        (Event, (("0", ""), "1")),
+        (Event, (("0", "x y"), 5)),
+        (Event, (("0",), 5)),
+        (Witness, (Mode.MONOLITHIC, 1, 1)),
+        (Witness, (Mode.MONOLITHIC, -1, 0)),
+        (Witness, (Mode.MONOLITHIC, 0, 1, 0)),
+        (Witness, (Mode.STRONG_DISTRIBUTED, 0, 1)),
+        (Witness, (Mode.STRONG_DISTRIBUTED, 2, 1)),
+    ],
+)
+def test_record_checks_raise_as_the_dataclass_checks(cls, args):
+    twin = RECORDS[cls][0]
+    with pytest.raises(ValueError) as ours:
+        cls(*args)
+    with pytest.raises(ValueError) as theirs:
+        twin(*args)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    result, modules = loaded_after("import minimon.cli")
+    assert result.returncode == 0, result.stderr
+    assert modules & {"dataclasses", "inspect"} == set()
+
+
+@pytest.fixture
+def pre(tmp_path):
+    path = tmp_path / "pre.jsonl"
+    path.write_text("".join(
+        f'{{"from":["{a}","{b}"],"to":["{a}","{b}"]}}\n' for a in "01" for b in "01"
+    ))
+    return str(path)
+
+
+_EXEC = "exec:" + shlex.join(mod_worker(1000, 10))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check-trace", "--trace", "{trace}", "--domain", "{domain}", "--mode", "sdist"],
+        ["monitor", "--program", "builtin:xor", "--domain", "{domain}", "--mode", "mono",
+         "--random", "--max-steps", "2"],
+        ["monitor", "--program", _EXEC, "--domain", "{domain}", "--mode", "mono",
+         "--random", "--max-steps", "2", "--pre", "{pre}"],
+        ["test", "--program", "builtin:xor", "--domain", "{domain}", "--mode", "mono"],
+        ["test", "--program", _EXEC, "--domain", "{domain}", "--mode", "sdist", "--pre", "{pre}"],
+        ["synth-min", "--program", _EXEC, "--domain", "{domain}", "--out", "{out}"],
+        ["check-pre", "--program", _EXEC, "--domain", "{domain}", "--pre", "{pre}", "--json"],
+        ["oracle", "--table", "{table}", "--notion", "dist"],
+    ],
+    ids=["check-trace", "monitor", "monitor-exec-pre", "test", "test-exec-pre", "synth-min",
+         "check-pre", "oracle"],
+)
+def test_no_command_loads_dataclasses_or_inspect(inputs, pre, tmp_path, args):
+    """Every command runs without the stdlib modules that generating
+    dataclass methods needs."""
+    paths = {**inputs, "pre": pre, "out": str(tmp_path / "out.jsonl")}
+    result, modules = run_cli_bare(*(arg.format(**paths) for arg in args))
+    assert result.returncode in (0, 1, 2), result.stderr
+    assert result.stdout
+    assert modules & {"dataclasses", "inspect"} == set()
