@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
@@ -19,8 +20,8 @@ from .programs import Program, stream
 from .properties import CollisionIndex, Mode
 from .tester import check_arity, check_budget
 from .trace import (
-    Event, InputDomain, InputTuple, _all_tokens, _Frozen, _json_tokens, _Record, file_lines,
-    json_lines, token_array,
+    _BLANK, _PRE_LINE, Event, InputDomain, InputTuple, _Frozen, _json_line,
+    _json_tokens, _Record, file_lines, token_array,
 )
 
 DEFAULT_SYNTH_CAP = 10**6
@@ -262,17 +263,16 @@ def load_minimiser(path: str) -> MinimiserTable:
     """Read a JSONL pre-processor table: lines {"from": [...], "to": [...]}."""
     mapping: dict[InputTuple, InputTuple] = {}
     arity: int | None = None
+    match = re.compile(_PRE_LINE).fullmatch
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, obj in json_lines(file_lines(fh)):
-            src = dst = None
-            if type(obj) is dict and len(obj) == 2:
-                src, dst = obj.get("from"), obj.get("to")
-            if (
-                type(src) is list and type(dst) is list
-                and len(src) == arity and len(dst) == arity and _all_tokens(src + dst)
-            ):
-                src, dst = tuple(src), tuple(dst)
-            else:
+        for line_no, line in enumerate(file_lines(fh), start=1):
+            m = match(line)
+            if m is not None:
+                src, dst = tuple(m[1].split('","')), tuple(m[2].split('","'))
+            if m is None or len(src) != arity or len(dst) != arity:
+                obj = _json_line(line, line_no)
+                if obj is _BLANK:
+                    continue
                 if not isinstance(obj, dict) or set(obj) != {"from", "to"}:
                     raise ParseError('expected exactly the fields "from" and "to"', line=line_no)
                 src = token_array(obj, "from", line_no)

@@ -362,35 +362,45 @@ def file_lines(fh: TextIOBase) -> Iterator[str]:
         raise
 
 
-def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
-    """Yield (line_number, decoded value) for each non-blank JSONL line of
-    `lines`, any iterable of lines (a file's through file_lines).
+_BLANK = object()  # what _json_line gives for a blank line
+
+
+def _json_line(line: str, line_no: int) -> object:
+    """The value of one JSONL line, numbered `line_no`, or _BLANK.
 
     A line that is exactly one JSON value, or one JSON value and a final
     LF, is decoded by the JSON scanner alone; every other line (leading or
     trailing whitespace, CR, blank, invalid) goes through json.loads, which
     gives the same value or the error message."""
-    return _json_numbered(enumerate(lines, start=1))
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line) or line[end:] == "\n":
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    if not line.strip():
+        return _BLANK
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep", line=line_no) from None
 
 
-def _json_numbered(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, object]]:
-    """json_lines() over (line_number, line) pairs."""
-    for line_no, line in numbered:
-        try:
-            obj, end = _scan_once(line, 0)
-            exact = end == len(line) or line[end:] == "\n"
-        except (StopIteration, ValueError, RecursionError):
-            exact = False
-        if not exact:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            except RecursionError:
-                raise ParseError("invalid JSON: nesting too deep", line=line_no) from None
-        yield line_no, obj
+# The compact lines json.dumps(record, separators=(",", ":")) writes, which
+# the readers split without a decode. A token character is one the JSON
+# scanner reads as itself (no quote, backslash or control character) and
+# is_token allows (re's \s on str is exactly what str.isspace accepts). So
+# a line matches iff its record decodes with no escape, has these fields in
+# this order, and holds only value tokens. Each reader compiles its pattern
+# on its first call, and re's cache keeps it, so a command that reads no
+# JSONL file compiles none.
+_TOKEN_CHAR = r'[^"\\\x00-\x20\s]'
+_TOKENS = rf'"({_TOKEN_CHAR}+(?:","{_TOKEN_CHAR}+)*)"'  # group: the tokens joined by '","'
+_IO_LINE = rf'\{{"in":\[{_TOKENS}\],"out":"({_TOKEN_CHAR}+)"\}}\n?'
+_INPUT_LINE = rf'\{{"in":\[{_TOKENS}\](?:,"out":"{_TOKEN_CHAR}+")?\}}\n?'
+_PRE_LINE = rf'\{{"from":\[{_TOKENS}\],"to":\[{_TOKENS}\]\}}\n?'
 
 
 def token_array(obj: dict, key: str, line_no: int) -> InputTuple:
@@ -406,22 +416,27 @@ def token_array(obj: dict, key: str, line_no: int) -> InputTuple:
 
 def iter_io_lines(lines: Iterable[str]) -> Iterator[tuple[int, InputTuple, str]]:
     """Yield (line_number, inputs, output) for each JSONL record of `lines`
-    (see json_lines) in trace and table files.
+    (see _json_line) in trace and table files, any iterable of lines (a
+    file's through file_lines).
 
     Each record's shape and tokens are checked here, once, and every record
     must have the arity of the first; ParseError names the offending line.
-    A record after the first with exactly the two fields, the earlier arity
-    and only tokens passes one fast check; any other goes through the
-    per-field checks, which build every error message.
+    A compact line after the first (see _IO_LINE) with the earlier arity is
+    split without a decode; every other line is decoded and goes through
+    the per-field checks, which build every error message.
     """
+    match = re.compile(_IO_LINE).fullmatch
     arity: int | None = None
-    for line_no, obj in json_lines(lines):
-        if type(obj) is dict and len(obj) == 2:
-            inputs = obj.get("in")
-            output = obj.get("out")
-            if type(inputs) is list and len(inputs) == arity and _all_tokens([*inputs, output]):
-                yield line_no, tuple(inputs), output
+    for line_no, line in enumerate(lines, start=1):
+        m = match(line)
+        if m is not None:
+            inputs = tuple(m[1].split('","'))
+            if len(inputs) == arity:
+                yield line_no, inputs, m[2]
                 continue
+        obj = _json_line(line, line_no)
+        if obj is _BLANK:
+            continue
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line=line_no)
         if len(obj) != 2 or "in" not in obj or "out" not in obj:
@@ -527,17 +542,22 @@ def serialize_trace(trace: Trace) -> str:
 def parse_input_lines(text: str) -> list[InputTuple]:
     """Parse an inputs file: JSONL with an "in" array per line; an extra "out"
     field is tolerated so recorded traces replay as input streams. A line
-    equal to an earlier accepted one gives its tuple without a decode."""
+    equal to an earlier accepted one gives its tuple without a decode, and
+    so does a compact line (see _INPUT_LINE)."""
     lines = text.split("\n")
     accepted: dict[str, InputTuple] = {}  # line text -> its input tuple
-    new = ((n, line) for n, line in enumerate(lines, start=1) if line not in accepted)
-    for line_no, obj in _json_numbered(new):
-        if type(obj) is dict and (len(obj) == 1 or len(obj) == 2 and "out" in obj):
-            raw = obj.get("in")
-            if type(raw) is list and raw and _all_tokens(raw):
-                accepted[lines[line_no - 1]] = tuple(raw)
-                continue
+    match = re.compile(_INPUT_LINE).fullmatch
+    for line_no, line in enumerate(lines, start=1):
+        if line in accepted:
+            continue
+        m = match(line)
+        if m is not None:
+            accepted[line] = tuple(m[1].split('","'))
+            continue
+        obj = _json_line(line, line_no)
+        if obj is _BLANK:
+            continue
         if not isinstance(obj, dict) or "in" not in obj or not set(obj) <= {"in", "out"}:
             raise ParseError('expected an object with an "in" array', line=line_no)
-        accepted[lines[line_no - 1]] = token_array(obj, "in", line_no)
+        accepted[line] = token_array(obj, "in", line_no)
     return list(filter(None, map(accepted.get, lines)))  # drops blank lines
