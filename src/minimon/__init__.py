@@ -50,15 +50,12 @@ _ORIGIN = {
     "load_minimiser": "minimiser",
     "load_trace": "trace",
     "make_builtin": "programs",
-    "mono_witness": "properties",
     "monitor_eval": "monitor",
     "parse_trace": "trace",
     "prefix_verdicts": "monitor",
     "run_test": "tester",
     "save_minimiser": "minimiser",
     "serialize_trace": "trace",
-    "single_diff_source": "properties",
-    "strong_dist_witness": "properties",
     "synthesize": "minimiser",
     "table_dist_minimal": "tester",
     "table_mono_minimal": "tester",

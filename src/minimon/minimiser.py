@@ -87,7 +87,6 @@ def synthesize(
     program: Program,
     domain: InputDomain,
     rep_strategy: str = REP_LEAST,
-    cap: int = DEFAULT_SYNTH_CAP,
 ) -> tuple[MinimiserTable, PartitionMap]:
     """Partition the domain by output and map each input to its class
     representative.
@@ -95,13 +94,14 @@ def synthesize(
     The domain is visited in enumeration order, so "least" (each class's
     least element in enumeration order) and "first" (the first one visited)
     pick the same member; "rand:SEED" picks a seeded random member.
-    Deterministic for a fixed strategy.
+    Deterministic for a fixed strategy. A domain of more than
+    DEFAULT_SYNTH_CAP elements raises BudgetExceeded before any probe.
     """
     pick = _rep_picker(rep_strategy)
     check_arity(program, domain)
-    if domain.size > cap:
+    if domain.size > DEFAULT_SYNTH_CAP:
         raise BudgetExceeded(
-            f"domain has {domain.size} elements, synthesis cap is {cap}"
+            f"domain has {domain.size} elements, synthesis cap is {DEFAULT_SYNTH_CAP}"
         )
     visitation = list(domain.enumerate())
     classes: dict[str, list[InputTuple]] = {}

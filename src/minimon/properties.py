@@ -54,20 +54,6 @@ class Witness(_Frozen):
         }
 
 
-def single_diff_source(a: InputTuple, b: InputTuple) -> int | None:
-    """The unique coordinate where `a` and `b` differ, or None when they
-    differ at zero or several coordinates."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    found = None
-    for j, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            if found is not None:
-                return None
-            found = j
-    return found
-
-
 # Stands in the index for an output that two or more fed inputs share.
 _SHARED = object()
 
@@ -133,26 +119,15 @@ def least_collision(
     return best
 
 
-def mono_witness(trace: Trace) -> Witness | None:
-    """Least (index_a, index_b) pair of events with different inputs and equal
-    outputs, or None."""
-    return find_witness(Mode.MONOLITHIC, trace)
-
-
-def strong_dist_witness(trace: Trace) -> Witness | None:
-    """Least violating pair whose inputs differ in exactly one coordinate."""
-    return find_witness(Mode.STRONG_DISTRIBUTED, trace)
-
-
 def is_mono_minimal(trace: Trace) -> bool:
     """True iff no two events have different inputs and equal outputs."""
-    return mono_witness(trace) is None
+    return find_witness(Mode.MONOLITHIC, trace) is None
 
 
 def is_strong_dist_minimal(trace: Trace) -> bool:
     """True iff no two events have inputs differing in exactly one coordinate
     and equal outputs. Coincides with is_mono_minimal at arity 1."""
-    return strong_dist_witness(trace) is None
+    return find_witness(Mode.STRONG_DISTRIBUTED, trace) is None
 
 
 def find_witness(mode: Mode, trace: Trace) -> Witness | None:

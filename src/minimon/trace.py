@@ -23,8 +23,6 @@ _FirstSeen = dict[InputTuple, tuple[str, int]]  # input -> (output, first positi
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
-# The C scanner json.loads itself runs, without its wrapper: (value, end).
-_scan_once = json.JSONDecoder().scan_once
 _json_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps runs on text
 
 
@@ -366,18 +364,7 @@ _BLANK = object()  # what _json_line gives for a blank line
 
 
 def _json_line(line: str, line_no: int) -> object:
-    """The value of one JSONL line, numbered `line_no`, or _BLANK.
-
-    A line that is exactly one JSON value, or one JSON value and a final
-    LF, is decoded by the JSON scanner alone; every other line (leading or
-    trailing whitespace, CR, blank, invalid) goes through json.loads, which
-    gives the same value or the error message."""
-    try:
-        obj, end = _scan_once(line, 0)
-        if end == len(line) or line[end:] == "\n":
-            return obj
-    except (StopIteration, ValueError, RecursionError):
-        pass
+    """The value of one JSONL line, numbered `line_no`, or _BLANK."""
     if not line.strip():
         return _BLANK
     try:

@@ -12,7 +12,7 @@ import sys
 
 from minimon import DeterminismViolation, Event, InputDomain, InputOutsideDomain, ParseError, Trace
 from minimon.minimiser import ValidationFailure, ValidationReport
-from minimon.properties import CollisionIndex, Mode, single_diff_source
+from minimon.properties import CollisionIndex, Mode
 
 
 def mono(inp: str, out: str) -> Event:
@@ -97,6 +97,20 @@ def naive_mono_witness(trace: Trace) -> tuple[int, int] | None:
             ):
                 return (a, b)
     return None
+
+
+def single_diff_source(a: tuple[str, ...], b: tuple[str, ...]) -> int | None:
+    """The unique coordinate where `a` and `b` differ, or None when they
+    differ at zero or several coordinates."""
+    if len(a) != len(b):
+        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
+    found = None
+    for j, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            if found is not None:
+                return None
+            found = j
+    return found
 
 
 def naive_sdm_witness(trace: Trace) -> tuple[int, int, int] | None:

@@ -607,6 +607,17 @@ class TestSynthMin:
         table = load_minimiser(out)
         assert table.representatives == {("1",), ("10000",)}
 
+    def test_domain_over_the_synthesis_cap_is_refused(self, files, tmp_path):
+        """The cap is fixed: a budget over it does not lift it."""
+        domain = files("d.json", '{"sources":[{"range":[1,1001]},{"range":[1,1000]}]}')
+        out = tmp_path / "min.jsonl"
+        args = ("synth-min", "--program", "builtin:xor", "--domain", domain, "--out", str(out))
+        for env in (None, dict(os.environ, MINIMON_BUDGET="10000000000")):
+            result = run_cli(*args, env=env)
+            assert (result.returncode, result.stdout) == (3, "")
+            assert result.stderr == "error: domain has 1001000 elements, synthesis cap is 1000000\n"
+            assert not out.exists()
+
 
 class TestCheckPre:
     def test_synthesized_table_validates(self, files, tmp_path):

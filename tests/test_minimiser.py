@@ -24,7 +24,7 @@ from minimon import (
     synthesize,
     validate_preprocessor,
 )
-from minimon import programs
+from minimon import minimiser, programs
 
 from helpers import mod_worker, random_full_table, ref_validate_preprocessor
 
@@ -98,9 +98,10 @@ class TestSynthesize:
             with pytest.raises(ValueError):
                 synthesize(make_builtin("identity"), domain, rep_strategy=bad)
 
-    def test_cap(self):
-        with pytest.raises(BudgetExceeded):
-            synthesize(make_builtin("benefits"), SALARIES, cap=100)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(minimiser, "DEFAULT_SYNTH_CAP", 100)
+        with pytest.raises(BudgetExceeded, match="^domain has 30000 elements, synthesis cap is 100$"):
+            synthesize(make_builtin("benefits"), SALARIES)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):

@@ -35,10 +35,9 @@ PUBLIC_NAMES = [
     "TableProgram", "TestReport", "Trace", "UnknownBuiltin", "ValidationReport",
     "Verdict", "Witness", "build_table", "compose", "covers_domain",
     "find_witness", "is_mono_minimal", "is_strong_dist_minimal", "load_domain",
-    "load_minimiser", "load_trace", "make_builtin", "mono_witness",
-    "monitor_eval", "parse_trace", "prefix_verdicts", "run_test",
-    "save_minimiser", "serialize_trace", "single_diff_source",
-    "strong_dist_witness", "synthesize", "table_dist_minimal",
+    "load_minimiser", "load_trace", "make_builtin", "monitor_eval",
+    "parse_trace", "prefix_verdicts", "run_test", "save_minimiser",
+    "serialize_trace", "synthesize", "table_dist_minimal",
     "table_mono_minimal", "table_strong_dist_minimal", "validate_preprocessor",
 ]
 

@@ -16,11 +16,9 @@ from minimon import (
     Trace,
     Witness,
     covers_domain,
+    find_witness,
     is_mono_minimal,
     is_strong_dist_minimal,
-    mono_witness,
-    single_diff_source,
-    strong_dist_witness,
 )
 
 from minimon.properties import CollisionIndex
@@ -31,6 +29,7 @@ from helpers import (
     naive_mono_witness,
     naive_sdm_witness,
     random_function_trace,
+    single_diff_source,
     table1_events,
     table2_events,
 )
@@ -48,7 +47,7 @@ class TestMonolithic:
         assert is_mono_minimal(Trace([mono("1", "a")]))
 
     def test_witness_is_least_pair(self):
-        w = mono_witness(Trace(table1_events()[:3]))
+        w = find_witness(Mode.MONOLITHIC, Trace(table1_events()[:3]))
         assert (w.index_a, w.index_b) == (0, 2)
         assert w.kind is Mode.MONOLITHIC and w.differing_source is None
 
@@ -62,12 +61,12 @@ class TestMonolithic:
 
     def test_all_equal_inputs_have_no_witness(self):
         t = Trace([mono("1", "a"), mono("1", "a"), mono("1", "a")])
-        assert mono_witness(t) is None
+        assert find_witness(Mode.MONOLITHIC, t) is None
 
     def test_least_pair_prefers_smaller_first_index(self):
         # violating pairs are (0,3) and (1,2); (0,3) is lexicographically least
         t = Trace([mono("1", "A"), mono("2", "B"), mono("3", "B"), mono("4", "A")])
-        w = mono_witness(t)
+        w = find_witness(Mode.MONOLITHIC, t)
         assert (w.index_a, w.index_b) == (0, 3)
 
 
@@ -76,7 +75,7 @@ class TestStrongDistributed:
         assert is_strong_dist_minimal(Trace(table2_events()[:3]))
 
     def test_table2_full_violates_at_age_coordinate(self):
-        w = strong_dist_witness(Trace(table2_events()))
+        w = find_witness(Mode.STRONG_DISTRIBUTED, Trace(table2_events()))
         assert (w.index_a, w.index_b) == (1, 3)
         assert w.differing_source == 1
         assert w.kind is Mode.STRONG_DISTRIBUTED
@@ -99,7 +98,7 @@ class TestStrongDistributed:
             Event(("1", "0"), "1"),
             Event(("1", "1"), "1"),
         ])
-        w = strong_dist_witness(t)
+        w = find_witness(Mode.STRONG_DISTRIBUTED, t)
         assert t[w.index_a].inputs == ("0", "1")
         assert t[w.index_b].inputs == ("1", "1")
         assert w.differing_source == 0
@@ -109,13 +108,15 @@ class TestStrongDistributed:
         for _ in range(100):
             t = random_function_trace(rnd, arity=1, length=rnd.randint(0, 12))
             assert is_strong_dist_minimal(t) == is_mono_minimal(t)
-            wm, ws = mono_witness(t), strong_dist_witness(t)
+            wm, ws = find_witness(Mode.MONOLITHIC, t), find_witness(Mode.STRONG_DISTRIBUTED, t)
             if wm is not None:
                 assert (ws.index_a, ws.index_b) == (wm.index_a, wm.index_b)
                 assert ws.differing_source == 0
 
 
 class TestSingleDiffSource:
+    """The coordinate helper of the naive strong-distributed oracle."""
+
     def test_one_coordinate(self):
         assert single_diff_source(("0", "1"), ("1", "1")) == 0
 
@@ -126,7 +127,7 @@ class TestSingleDiffSource:
         assert single_diff_source(("a", "b"), ("a", "b")) is None
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^arity mismatch: 1 vs 2$"):
             single_diff_source(("a",), ("a", "b"))
 
 
@@ -135,7 +136,7 @@ class TestWitnessesAgainstNaiveScan:
         rnd = random.Random(23)
         for _ in range(200):
             t = random_function_trace(rnd, length=rnd.randint(0, 14))
-            w = mono_witness(t)
+            w = find_witness(Mode.MONOLITHIC, t)
             expected = naive_mono_witness(t)
             assert (None if w is None else (w.index_a, w.index_b)) == expected
 
@@ -143,7 +144,7 @@ class TestWitnessesAgainstNaiveScan:
         rnd = random.Random(29)
         for _ in range(200):
             t = random_function_trace(rnd, length=rnd.randint(0, 14))
-            w = strong_dist_witness(t)
+            w = find_witness(Mode.STRONG_DISTRIBUTED, t)
             expected = naive_sdm_witness(t)
             got = None if w is None else (w.index_a, w.index_b, w.differing_source)
             assert got == expected

@@ -25,7 +25,7 @@ from minimon import (
     table_mono_minimal,
     table_strong_dist_minimal,
 )
-from minimon import programs
+from minimon import minimiser, programs
 from minimon.minimiser import compose
 from minimon.programs import CommandProgram
 from minimon.tester import (
@@ -59,10 +59,11 @@ def test_build_table_arity_mismatch():
 @pytest.mark.parametrize("driver", [
     build_table,
     lambda program, domain: run_test(program, domain, Mode.MONOLITHIC),
-    lambda program, domain: synthesize(program, domain, cap=0),
+    lambda program, domain: synthesize(program, domain),
 ])
 def test_arity_is_checked_before_the_budget(monkeypatch, driver):
     monkeypatch.setenv("MINIMON_BUDGET", "0")
+    monkeypatch.setattr(minimiser, "DEFAULT_SYNTH_CAP", 0)
     with pytest.raises(ValueError, match="^program arity 2 does not match domain arity 1$"):
         driver(make_builtin("xor"), InputDomain([["0", "1"]]))
 

@@ -639,7 +639,7 @@ def test_token_class_is_what_the_scanner_reads_as_a_token():
     one that the JSON scanner reads unescaped as itself and that is a value
     token. This also checks that re's \\s on str is str.isspace."""
     accepts = re.compile(trace_module._TOKEN_CHAR).fullmatch
-    scan = trace_module._scan_once
+    scan = json.JSONDecoder().scan_once
     wrong = []
     for cp in range(0x110000):
         c = chr(cp)
