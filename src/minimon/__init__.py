@@ -15,7 +15,7 @@ _ORIGIN = {
     "BudgetExceeded": "errors",
     "BuiltinProgram": "programs",
     "CollisionWitness": "tester",
-    "CommandProgram": "programs",
+    "CommandProgram": "command",
     "ComposedProgram": "minimiser",
     "DeterminismViolation": "errors",
     "DomainMismatch": "errors",
@@ -44,8 +44,6 @@ _ORIGIN = {
     "compose": "minimiser",
     "covers_domain": "properties",
     "find_witness": "properties",
-    "is_mono_minimal": "properties",
-    "is_strong_dist_minimal": "properties",
     "load_domain": "trace",
     "load_minimiser": "minimiser",
     "load_trace": "trace",

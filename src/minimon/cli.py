@@ -3,8 +3,11 @@
 Exit codes mirror verdicts so CI scripts can branch: 0 = TRUE, 1 = FALSE,
 2 = UNKNOWN, 3 = usage or runtime error.
 
-Only what check-trace runs is imported at module level. Every other command
-imports the rest of what it runs itself, so each pays start-up only for that.
+Only what every command runs (argparse, the errors and the trace readers) is
+imported at module level. Each command imports the rest of what it runs
+itself, so each pays start-up only for the modules whose code it runs: only
+`exec:` program specs load `command`, and `synth-min` and `check-pre` load
+no `monitor`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import sys
 from array import array
 
 from .errors import MinimonError
-from .monitor import Monitor, MonitorConfig, Verdict
-from .properties import Mode, Witness
 from .trace import (
     InputDomain,
     file_lines,
@@ -31,13 +32,12 @@ EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
-_EXIT_BY_VERDICT = {Verdict.TRUE: EXIT_TRUE, Verdict.FALSE: EXIT_FALSE, Verdict.UNKNOWN: EXIT_UNKNOWN}
-# Verdict.value is a descriptor lookup; check-trace --json needs the text of
-# every step.
-_TEXT_BY_VERDICT = {verdict: verdict.value for verdict in Verdict}
+# The exit code of each verdict, by its text.
+_EXIT_BY_VERDICT = {"TRUE": EXIT_TRUE, "FALSE": EXIT_FALSE, "UNKNOWN": EXIT_UNKNOWN}
 # monitor: step lines per write off a terminal.
 _LINES_PER_WRITE = 64
-_MODES = {"mono": Mode.MONOLITHIC, "sdist": Mode.STRONG_DISTRIBUTED}
+# --mode: the name of the `properties.Mode` member for each.
+_MODES = {"mono": "MONOLITHIC", "sdist": "STRONG_DISTRIBUTED"}
 # test --strategy: the name of the `tester` constant for each.
 _STRATEGIES = {"rand": "RANDOM_PERMUTATION", "lex": "LEXICOGRAPHIC"}
 
@@ -78,8 +78,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+def _mode(args):
+    """The `properties.Mode` that `--mode` names."""
+    from .properties import Mode
+
+    return Mode[_MODES[args.mode]]
+
+
 def _build_program(spec: str, arity: int):
-    from .programs import CommandProgram, TableProgram, make_builtin
+    from .programs import TableProgram, make_builtin
 
     if spec.startswith("builtin:"):
         return make_builtin(spec[len("builtin:"):])
@@ -87,6 +94,8 @@ def _build_program(spec: str, arity: int):
         return TableProgram.load(spec[len("table:"):])
     if spec.startswith("exec:"):
         import shlex
+
+        from .command import CommandProgram
 
         argv = shlex.split(spec[len("exec:"):])
         if not argv:
@@ -108,7 +117,7 @@ def _load_composed(args, arity: int):
     return program
 
 
-def _witness_text(witness: Witness, records=None) -> str:
+def _witness_text(witness, records=None) -> str:
     """One witness line; `records` gives the (inputs, output) pairs at the
     two witness positions, when the caller has them."""
     parts = [f"witness: events {witness.index_a} and {witness.index_b}"]
@@ -125,7 +134,9 @@ def cmd_check_trace(args) -> int:
     # The trace is streamed: the reader checks each record once and notes
     # its file line, and the monitor's record is the determinism record, so
     # a conflict names both file lines.
-    mode = _MODES[args.mode]
+    from .monitor import Monitor, MonitorConfig, Verdict
+
+    mode = _mode(args)
     with open(args.trace, "r", encoding="utf-8") as fh:
         domain = load_domain(args.domain) if args.domain else None
         monitor = Monitor(MonitorConfig(mode, domain))
@@ -140,14 +151,15 @@ def cmd_check_trace(args) -> int:
             "events": len(verdicts),
             "verdict": final.value,
             "witness": witness.to_dict() if witness else None,
-            "prefix_verdicts": list(map(_TEXT_BY_VERDICT.__getitem__, verdicts)),
+            # Verdict.value is a descriptor lookup; a dict gives each step's text.
+            "prefix_verdicts": list(map({v: v.value for v in Verdict}.__getitem__, verdicts)),
         }))
     else:
         print(final.value)
         if witness is not None:
             records = monitor.first_occurrences([witness.index_a, witness.index_b])
             print(_witness_text(witness, records))
-    return _EXIT_BY_VERDICT[final]
+    return _EXIT_BY_VERDICT[final.value]
 
 
 def _random_inputs(domain: InputDomain, seed: int):
@@ -174,6 +186,8 @@ def _write_lines(out, lines: list[str]) -> None:
 
 
 def cmd_monitor(args) -> int:
+    from .monitor import Monitor, MonitorConfig, Verdict
+
     domain = load_domain(args.domain) if args.domain else None
     if args.inputs is not None:
         with open(args.inputs, "r", encoding="utf-8") as fh:
@@ -188,7 +202,7 @@ def cmd_monitor(args) -> int:
         stream = _random_inputs(domain, args.seed)
         arity = domain.arity
     program = _load_composed(args, arity)
-    monitor = Monitor(MonitorConfig(_MODES[args.mode], domain))
+    monitor = Monitor(MonitorConfig(_mode(args), domain))
     # One step line per input, nearly all UNKNOWN: off a terminal they are
     # written _LINES_PER_WRITE at a time, as one print each would cost two
     # write(2) calls when stdout is unbuffered. On a terminal each line is
@@ -214,7 +228,7 @@ def cmd_monitor(args) -> int:
                 _write_lines(out, pending)
     if monitor.witness is not None:
         print(_witness_text(monitor.witness))
-    return _EXIT_BY_VERDICT[monitor.verdict]
+    return _EXIT_BY_VERDICT[monitor.verdict.value]
 
 
 def cmd_test(args) -> int:
@@ -222,7 +236,7 @@ def cmd_test(args) -> int:
 
     domain = load_domain(args.domain)
     program = _load_composed(args, domain.arity)
-    mode = _MODES[args.mode]
+    mode = _mode(args)
     strategy = getattr(tester, _STRATEGIES[args.strategy])
     with program:
         report = tester.run_test(program, domain, mode, strategy=strategy, seed=args.seed)
@@ -239,7 +253,7 @@ def cmd_test(args) -> int:
             w = report.witness
             events = (report.trace[w.index_a], report.trace[w.index_b])
             print(_witness_text(w, [(e.inputs, e.output) for e in events]))
-    return _EXIT_BY_VERDICT[report.verdict]
+    return _EXIT_BY_VERDICT[report.verdict.value]
 
 
 def cmd_synth_min(args) -> int:

@@ -6,19 +6,20 @@ output and is idempotent; it is a minimiser when the program restricted to
 the pre-processor's range is injective. Synthesis groups the domain by
 output and sends every input to its class representative, which yields a
 minimiser by construction.
+
+The collision index and `random` are imported by the functions that run
+them, so that `synth-min` loads neither.
 """
 
 from __future__ import annotations
 
 import operator
-import random
 import re
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
-from .programs import Program, stream
-from .properties import CollisionIndex, Mode
-from .tester import check_arity, check_budget
+from .probes import check_arity, check_budget, stream
+from .programs import Program
 from .trace import (
     _BLANK, _PRE_LINE, Event, InputDomain, InputTuple, _Frozen, _json_line,
     _json_tokens, _Record, file_lines, token_array,
@@ -73,6 +74,8 @@ def _rep_picker(rep_strategy: str) -> Callable[[list[InputTuple]], InputTuple]:
     if rep_strategy in (REP_LEAST, REP_FIRST):
         return operator.itemgetter(0)
     if rep_strategy.startswith("rand:"):
+        import random
+
         raw = rep_strategy[len("rand:"):]
         try:
             return random.Random(int(raw)).choice
@@ -161,6 +164,8 @@ def validate_preprocessor(
     than the budget (default 10^7, env-overridable), or one the table is not
     total on, is refused before any probe; then the program's stream
     evaluates each domain element once, and every check is a lookup."""
+    from .properties import CollisionIndex, Mode
+
     check_budget(domain.size, "validation needs {} probes")
     mapping = table.mapping
     order = list(domain.enumerate())

@@ -119,17 +119,6 @@ def least_collision(
     return best
 
 
-def is_mono_minimal(trace: Trace) -> bool:
-    """True iff no two events have different inputs and equal outputs."""
-    return find_witness(Mode.MONOLITHIC, trace) is None
-
-
-def is_strong_dist_minimal(trace: Trace) -> bool:
-    """True iff no two events have inputs differing in exactly one coordinate
-    and equal outputs. Coincides with is_mono_minimal at arity 1."""
-    return find_witness(Mode.STRONG_DISTRIBUTED, trace) is None
-
-
 def find_witness(mode: Mode, trace: Trace) -> Witness | None:
     """Least violating pair of `trace` under `mode`, or None.
 

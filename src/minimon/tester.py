@@ -5,46 +5,25 @@ The test loop probes each domain element exactly once, in a seeded random
 permutation by default, stepping a monitor on every observation. A conclusive
 verdict is guaranteed within domain.size probes: a violation stops early,
 otherwise full coverage forces TRUE on the last probe.
+
+The monitor and the properties are imported here, not where they run:
+`TestReport` and `run_test` annotate with their `Verdict`, `Witness` and
+`Mode`, which `typing.get_type_hints` looks up in this module. `random` is
+imported by the function that shuffles, so that `oracle` does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import random
 
-from .errors import BudgetExceeded, DomainMismatch
+from .errors import DomainMismatch
 from .monitor import Monitor, MonitorConfig, Verdict
-from .programs import stream
+from .probes import check_arity, check_budget, stream
 from .properties import Mode, Witness, least_collision
 from .trace import InputDomain, InputTuple, Trace, _Frozen, _Record
 
 RANDOM_PERMUTATION = "random-permutation"
 LEXICOGRAPHIC = "lexicographic"
-
-DEFAULT_BUDGET = 10**7
-BUDGET_ENV_VAR = "MINIMON_BUDGET"
-
-
-def check_budget(planned: int, need: str) -> None:
-    """BudgetExceeded when `planned` exceeds the budget: DEFAULT_BUDGET, or
-    the integer in MINIMON_BUDGET; `need` starts the message, with {} for
-    `planned`."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    try:
-        budget = DEFAULT_BUDGET if raw is None else int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if planned > budget:
-        raise BudgetExceeded(f"{need.format(planned)}, budget is {budget}")
-
-
-def check_arity(program, domain: InputDomain) -> None:
-    """ValueError unless `program` takes inputs of the domain's arity."""
-    if program.arity != domain.arity:
-        raise ValueError(
-            f"program arity {program.arity} does not match domain arity {domain.arity}"
-        )
 
 
 class FunctionTable(_Record):
@@ -197,6 +176,8 @@ def run_test(
     check_budget(domain.size, "test needs up to {} probes")
     order = list(domain.enumerate())
     if strategy == RANDOM_PERMUTATION:
+        import random
+
         random.Random(seed).shuffle(order)
     monitor = Monitor(MonitorConfig(mode, domain))
     # `observed` keeps each pair the monitor steps, for the report's trace.

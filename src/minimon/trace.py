@@ -222,14 +222,6 @@ class Trace:
             first_seen = {**first_seen, event.inputs: (event.output, len(self._pairs))}
         return Trace._from_checked(self._pairs + ((event.inputs, event.output),), first_seen)
 
-    def is_prefix_of(self, other: Trace) -> bool:
-        return len(self) <= len(other) and other._pairs[: len(self)] == self._pairs
-
-    def output_of(self, inputs: InputTuple) -> str | None:
-        """Output recorded for `inputs`, or None if the input never occurs."""
-        hit = self._first_seen.get(inputs)
-        return hit[0] if hit else None
-
     def distinct_inputs(self) -> int:
         return len(self._first_seen)
 

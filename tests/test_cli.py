@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from minimon import (
     InputDomain,
     MinimonError,
+    Mode,
     MonitorConfig,
     ParseError,
     TableProgram,
@@ -265,7 +266,7 @@ def test_streamed_check_trace_matches_parse_then_monitor(seed, mode, with_domain
     exit code and error (class, message, line, position) as parsing the
     whole trace first."""
     text, domain = _faulty_trace(random.Random(seed), fault, with_domain)
-    expected = _parse_then_monitor(text, domain, _MODES[mode], as_json)
+    expected = _parse_then_monitor(text, domain, Mode[_MODES[mode]], as_json)
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.jsonl")
         with open(trace_path, "w", encoding="utf-8") as fh:
@@ -377,12 +378,12 @@ class TestMonitor:
         """Replay over exec: with the verdict in the first window: the same
         stdout with one request in flight as with 64, and close() raises
         nothing about the replies that arrive after the verdict."""
-        from minimon import programs
+        from minimon import command
 
         inputs = files("inputs.jsonl", "".join(f'{{"in":["{n}"]}}\n' for n in range(100)))
         runs = []
         for window in (1, 64):
-            monkeypatch.setattr(programs, "_WINDOW", window)
+            monkeypatch.setattr(command, "_WINDOW", window)
             count = tmp_path / f"served{window}.txt"
             spec = "exec:" + shlex.join(mod_worker(3, 10, count))
             code = main(["monitor", "--program", spec, "--mode", "mono", "--inputs", inputs])

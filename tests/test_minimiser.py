@@ -24,7 +24,7 @@ from minimon import (
     synthesize,
     validate_preprocessor,
 )
-from minimon import minimiser, programs
+from minimon import command, minimiser
 
 from helpers import mod_worker, random_full_table, ref_validate_preprocessor
 
@@ -290,7 +290,7 @@ class TestSinglePassValidation:
 
     @pytest.mark.parametrize("window", [1, 64])
     def test_exec_worker_gets_one_request_per_domain_element(self, tmp_path, monkeypatch, window):
-        monkeypatch.setattr(programs, "_WINDOW", window)
+        monkeypatch.setattr(command, "_WINDOW", window)
         rnd = random.Random(window)
         for n in range(6):
             domain, _, table = random_candidate(rnd, missing=0)

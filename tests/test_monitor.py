@@ -27,8 +27,6 @@ from minimon import (
     Verdict,
     covers_domain,
     find_witness,
-    is_mono_minimal,
-    is_strong_dist_minimal,
     monitor_eval,
     prefix_verdicts,
 )
@@ -222,7 +220,7 @@ def test_check_trace_makes_one_record_operation_per_event(mode, tmp_path, monkey
             self.first_seen = _CountingDict()
             records.append(self.first_seen)
 
-    monkeypatch.setattr(cli, "Monitor", CountingMonitor)
+    monkeypatch.setattr("minimon.monitor.Monitor", CountingMonitor)
     events = [(["0", "0"], "a"), (["1", "0"], "b"), (["0", "0"], "a"), (["2", "1"], "c"), (["1", "0"], "b")]
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(json.dumps({"in": i, "out": o}) + "\n\n" for i, o in events))
@@ -365,14 +363,13 @@ class TestAgainstWholeTraceSemantics:
 
     @pytest.mark.parametrize("mode", [Mode.MONOLITHIC, Mode.STRONG_DISTRIBUTED])
     def test_false_at_earliest_violating_prefix(self, mode):
-        sat = is_mono_minimal if mode is Mode.MONOLITHIC else is_strong_dist_minimal
         rnd = random.Random(59)
         for _ in range(40):
             trace = random_function_trace(rnd, length=rnd.randint(0, 20))
             verdicts = prefix_verdicts(MonitorConfig(mode), trace)
             for k, verdict in enumerate(verdicts, start=1):
                 prefix = Trace(trace.events[:k])
-                assert (verdict is Verdict.FALSE) == (k > 1 and not sat(prefix))
+                assert (verdict is Verdict.FALSE) == (k > 1 and find_witness(mode, prefix) is not None)
 
     @pytest.mark.parametrize("mode", [Mode.MONOLITHIC, Mode.STRONG_DISTRIBUTED])
     def test_latched_witness_is_least_pair_of_latching_prefix(self, mode):

@@ -34,11 +34,11 @@ PUBLIC_NAMES = [
     "MonitorConfig", "ParseError", "PartitionMap", "Program", "ProgramFailure",
     "TableProgram", "TestReport", "Trace", "UnknownBuiltin", "ValidationReport",
     "Verdict", "Witness", "build_table", "compose", "covers_domain",
-    "find_witness", "is_mono_minimal", "is_strong_dist_minimal", "load_domain",
-    "load_minimiser", "load_trace", "make_builtin", "monitor_eval",
-    "parse_trace", "prefix_verdicts", "run_test", "save_minimiser",
-    "serialize_trace", "synthesize", "table_dist_minimal",
-    "table_mono_minimal", "table_strong_dist_minimal", "validate_preprocessor",
+    "find_witness", "load_domain", "load_minimiser", "load_trace",
+    "make_builtin", "monitor_eval", "parse_trace", "prefix_verdicts",
+    "run_test", "save_minimiser", "serialize_trace", "synthesize",
+    "table_dist_minimal", "table_mono_minimal", "table_strong_dist_minimal",
+    "validate_preprocessor",
 ]
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(minimon.__file__)))
@@ -424,28 +424,102 @@ def pre(tmp_path):
 _EXEC = "exec:" + shlex.join(mod_worker(1000, 10))
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
+# The modules of the `exec:` handle, of the bundled `builtin:` programs, and
+# of stepping a monitor.
+_EXEC_MODULES = {"minimon.command", "subprocess", "select"}
+_EXAMPLES = {"minimon.examples"}
+_STEPPING = {"minimon.tester", "minimon.monitor", "random"}
+_NOT_PROGRAMS = _EXEC_MODULES | _EXAMPLES
+
+# Each command, the modules it must load, and those it must not: a command
+# loads the modules whose code it runs.
+_COMMANDS = {
+    "check-trace": (
         ["check-trace", "--trace", "{trace}", "--domain", "{domain}", "--mode", "sdist"],
+        set(), _NOT_PROGRAMS,
+    ),
+    "monitor": (
         ["monitor", "--program", "builtin:xor", "--domain", "{domain}", "--mode", "mono",
          "--random", "--max-steps", "2"],
+        _EXAMPLES, _EXEC_MODULES,
+    ),
+    "monitor-table-pre": (
+        ["monitor", "--program", "table:{table}", "--domain", "{domain}", "--mode", "sdist",
+         "--random", "--max-steps", "2", "--pre", "{pre}"],
+        set(), _NOT_PROGRAMS,
+    ),
+    "monitor-exec-pre": (
         ["monitor", "--program", _EXEC, "--domain", "{domain}", "--mode", "mono",
          "--random", "--max-steps", "2", "--pre", "{pre}"],
+        _EXEC_MODULES, _EXAMPLES,
+    ),
+    "test": (
         ["test", "--program", "builtin:xor", "--domain", "{domain}", "--mode", "mono"],
+        _EXAMPLES, _EXEC_MODULES,
+    ),
+    "test-table": (
+        ["test", "--program", "table:{table}", "--domain", "{domain}", "--mode", "sdist"],
+        set(), _NOT_PROGRAMS,
+    ),
+    "test-exec-pre": (
         ["test", "--program", _EXEC, "--domain", "{domain}", "--mode", "sdist", "--pre", "{pre}"],
+        _EXEC_MODULES, _EXAMPLES,
+    ),
+    "synth-min": (
         ["synth-min", "--program", _EXEC, "--domain", "{domain}", "--out", "{out}"],
+        _EXEC_MODULES, _EXAMPLES | _STEPPING | {"minimon.properties"},
+    ),
+    "synth-min-builtin": (
+        ["synth-min", "--program", "builtin:xor", "--domain", "{domain}", "--out", "{out}"],
+        _EXAMPLES, _EXEC_MODULES | _STEPPING | {"minimon.properties"},
+    ),
+    # Only a random choice of representatives loads `random`.
+    "synth-min-rand": (
+        ["synth-min", "--program", "builtin:xor", "--domain", "{domain}", "--out", "{out}",
+         "--rep", "rand:5"],
+        _EXAMPLES | {"random"}, _EXEC_MODULES | _STEPPING - {"random"} | {"minimon.properties"},
+    ),
+    "check-pre": (
         ["check-pre", "--program", _EXEC, "--domain", "{domain}", "--pre", "{pre}", "--json"],
+        _EXEC_MODULES, _EXAMPLES | _STEPPING,
+    ),
+    "check-pre-builtin": (
+        ["check-pre", "--program", "builtin:xor", "--domain", "{domain}", "--pre", "{pre}"],
+        _EXAMPLES, _EXEC_MODULES | _STEPPING,
+    ),
+    "check-pre-table": (
+        ["check-pre", "--program", "table:{table}", "--domain", "{domain}", "--pre", "{pre}"],
+        set(), _NOT_PROGRAMS | _STEPPING,
+    ),
+    "oracle": (
         ["oracle", "--table", "{table}", "--notion", "dist"],
-    ],
-    ids=["check-trace", "monitor", "monitor-exec-pre", "test", "test-exec-pre", "synth-min",
-         "check-pre", "oracle"],
-)
-def test_no_command_loads_dataclasses_or_inspect(inputs, pre, tmp_path, args):
-    """Every command runs without the stdlib modules that generating
-    dataclass methods needs."""
+        {"minimon.tester"}, _NOT_PROGRAMS | {"random"},
+    ),
+    "oracle-mono": (
+        ["oracle", "--table", "{table}", "--notion", "mono"],
+        {"minimon.tester"}, _NOT_PROGRAMS | {"random"},
+    ),
+    "oracle-sdist": (
+        ["oracle", "--table", "{table}", "--notion", "sdist"],
+        {"minimon.tester"}, _NOT_PROGRAMS | {"random"},
+    ),
+}
+
+
+@pytest.mark.parametrize("args, loads, skips", _COMMANDS.values(), ids=_COMMANDS)
+def test_no_command_loads_dataclasses_or_inspect(inputs, pre, tmp_path, args, loads, skips):
+    """Each command loads the modules it runs and none that it was pinned
+    not to, and none loads the stdlib modules that generating dataclass
+    methods needs."""
     paths = {**inputs, "pre": pre, "out": str(tmp_path / "out.jsonl")}
     result, modules = run_cli_bare(*(arg.format(**paths) for arg in args))
     assert result.returncode in (0, 1, 2), result.stderr
     assert result.stdout
-    assert modules & {"dataclasses", "inspect"} == set()
+    assert loads <= modules
+    assert modules & (skips | {"dataclasses", "inspect"}) == set()
+
+
+def test_command_program_is_defined_in_the_exec_module():
+    import minimon.command
+
+    assert minimon.CommandProgram is minimon.command.CommandProgram

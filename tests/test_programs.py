@@ -29,8 +29,9 @@ from minimon import (
     synthesize,
     validate_preprocessor,
 )
-from minimon import programs
-from minimon.programs import BuiltinProgram, CommandProgram, save_table
+from minimon import command, programs
+from minimon.command import CommandProgram
+from minimon.programs import BuiltinProgram, save_table
 from minimon.tester import LEXICOGRAPHIC
 
 from helpers import mod_worker, outputs
@@ -550,7 +551,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("window", [1, 64])
     def test_chatty_worker_under_run_test_fails(self, tmp_path, monkeypatch, window):
-        monkeypatch.setattr(programs, "_WINDOW", window)
+        monkeypatch.setattr(command, "_WINDOW", window)
         argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
         domain = InputDomain([["a", "b", "c", "d"]])
         with pytest.raises(ProgramFailure, match="unsolicited output line"):
@@ -611,7 +612,7 @@ class TestPipeline:
     def test_stream_matches_single_calls(self, tmp_path, monkeypatch, window):
         """Repeats are memo hits, also while their request is in flight; a
         bad input is raised at its position, after the outputs before it."""
-        monkeypatch.setattr(programs, "_WINDOW", window)
+        monkeypatch.setattr(command, "_WINDOW", window)
         count = tmp_path / "served.txt"
         order = [("1", "2"), ("3", "4"), ("1", "2"), ("5", "6"), ("3", "4"), ("7",), ("8", "9")]
         with CommandProgram(mod_worker(1000, 10, count), arity=2) as program:
@@ -622,7 +623,7 @@ class TestPipeline:
 
     def test_request_longer_than_the_byte_cap_goes_out_alone(self, tmp_path):
         argv = _write_script(tmp_path, "chatty.py", CHATTY_ECHO)
-        long = "z" * (programs._WINDOW_BYTES + 10)
+        long = "z" * (command._WINDOW_BYTES + 10)
         with CommandProgram(argv, arity=1) as program:
             assert list(outputs(program, [("a",), (long,), ("c",)])) == ["ra", "r" + long, "rc"]
 
@@ -774,7 +775,7 @@ _EVEN = MinimiserTable({(str(n),): (str(n - n % 2),) for n in range(200)}, 1)
 def test_observe_all_yields_the_events_before_an_order_error(monkeypatch, kind, k):
     """pairs() takes inputs from the order as it goes: an order that raises
     at input k yields k observations, then that error."""
-    monkeypatch.setattr(programs, "_WINDOW", 1 if kind == "exec-1" else 64)
+    monkeypatch.setattr(command, "_WINDOW", 1 if kind == "exec-1" else 64)
     observed = [(str(n),) for n in range(k)]
     if kind.startswith("composed"):
         observed = list(map(_EVEN.apply, observed))
@@ -869,7 +870,7 @@ FAULTY_REPLIES = """\
 def test_bad_reply_fails_at_its_input(tmp_path, monkeypatch, window, fault, message):
     """evaluate() and pairs() give the outputs before a bad reply, then the
     reply's ProgramFailure at its input."""
-    monkeypatch.setattr(programs, "_WINDOW", window)
+    monkeypatch.setattr(command, "_WINDOW", window)
     argv = _write_script(tmp_path, "faulty.py", FAULTY_REPLIES)
     with CommandProgram(argv, arity=1) as program:
         expected = f"{program.name!r}: {message}"

@@ -17,8 +17,6 @@ from minimon import (
     Witness,
     covers_domain,
     find_witness,
-    is_mono_minimal,
-    is_strong_dist_minimal,
 )
 
 from minimon.properties import CollisionIndex
@@ -37,14 +35,14 @@ from helpers import (
 
 class TestMonolithic:
     def test_two_distinct_outputs_satisfy(self):
-        assert is_mono_minimal(Trace(table1_events()[:2]))
+        assert find_witness(Mode.MONOLITHIC, Trace(table1_events()[:2])) is None
 
     def test_repeated_output_violates(self):
-        assert not is_mono_minimal(Trace(table1_events()[:3]))
+        assert find_witness(Mode.MONOLITHIC, Trace(table1_events()[:3])) is not None
 
     def test_empty_and_singleton_are_vacuous(self):
-        assert is_mono_minimal(Trace())
-        assert is_mono_minimal(Trace([mono("1", "a")]))
+        assert find_witness(Mode.MONOLITHIC, Trace()) is None
+        assert find_witness(Mode.MONOLITHIC, Trace([mono("1", "a")])) is None
 
     def test_witness_is_least_pair(self):
         w = find_witness(Mode.MONOLITHIC, Trace(table1_events()[:3]))
@@ -72,7 +70,7 @@ class TestMonolithic:
 
 class TestStrongDistributed:
     def test_table2_prefix_satisfies(self):
-        assert is_strong_dist_minimal(Trace(table2_events()[:3]))
+        assert find_witness(Mode.STRONG_DISTRIBUTED, Trace(table2_events()[:3])) is None
 
     def test_table2_full_violates_at_age_coordinate(self):
         w = find_witness(Mode.STRONG_DISTRIBUTED, Trace(table2_events()))
@@ -87,9 +85,9 @@ class TestStrongDistributed:
             Event(("1", "0"), "1"),
             Event(("1", "1"), "0"),
         ])
-        assert is_strong_dist_minimal(t)
+        assert find_witness(Mode.STRONG_DISTRIBUTED, t) is None
         # (0,1) and (1,0) share an output but differ at both coordinates
-        assert not is_mono_minimal(t)
+        assert find_witness(Mode.MONOLITHIC, t) is not None
 
     def test_or_table_trace_witness(self):
         t = Trace([
@@ -107,8 +105,8 @@ class TestStrongDistributed:
         rnd = random.Random(11)
         for _ in range(100):
             t = random_function_trace(rnd, arity=1, length=rnd.randint(0, 12))
-            assert is_strong_dist_minimal(t) == is_mono_minimal(t)
             wm, ws = find_witness(Mode.MONOLITHIC, t), find_witness(Mode.STRONG_DISTRIBUTED, t)
+            assert (ws is None) == (wm is None)
             if wm is not None:
                 assert (ws.index_a, ws.index_b) == (wm.index_a, wm.index_b)
                 assert ws.differing_source == 0
@@ -197,21 +195,21 @@ class TestClosure:
         rnd = random.Random(37)
         for _ in range(60):
             t = random_function_trace(rnd, length=rnd.randint(0, 12))
-            for sat in (is_mono_minimal, is_strong_dist_minimal):
-                if sat(t):
-                    assert all(sat(p) for p in _prefixes(t))
+            for mode in Mode:
+                if find_witness(mode, t) is None:
+                    assert all(find_witness(mode, p) is None for p in _prefixes(t))
 
     def test_violation_survives_extensions(self):
         rnd = random.Random(41)
         found = 0
         for _ in range(60):
             t = random_function_trace(rnd, arity=2, length=10, pool=2, out_pool=2)
-            for sat in (is_mono_minimal, is_strong_dist_minimal):
-                if sat(t):
+            for mode in Mode:
+                if find_witness(mode, t) is None:
                     continue
                 found += 1
                 for e in t.events[:4]:
-                    assert not sat(t.append(e))
+                    assert find_witness(mode, t.append(e)) is not None
         assert found > 20
 
 

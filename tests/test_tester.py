@@ -25,9 +25,9 @@ from minimon import (
     table_mono_minimal,
     table_strong_dist_minimal,
 )
-from minimon import minimiser, programs
+from minimon import command, minimiser, programs
 from minimon.minimiser import compose
-from minimon.programs import CommandProgram
+from minimon.command import CommandProgram
 from minimon.tester import (
     LEXICOGRAPHIC,
     RANDOM_PERMUTATION,
@@ -284,7 +284,7 @@ class TestRunTest:
         domain = InputDomain([[str(n) for n in range(10)], [str(n) for n in range(10)]])
         reports = []
         for window in (1, 64):
-            with mock.patch.object(programs, "_WINDOW", window):
+            with mock.patch.object(command, "_WINDOW", window):
                 with CommandProgram(mod_worker(7, 10), arity=2) as program:
                     reports.append(run_test(program, domain, mode, seed=11))
         one, piped = reports
@@ -296,7 +296,7 @@ class TestRunTest:
         """The monitor concludes before the composition reaches an input its
         pre table lacks, inside the first window or after it: the FALSE
         stands, and the missing entry is never raised."""
-        monkeypatch.setattr(programs, "_WINDOW", window)
+        monkeypatch.setattr(command, "_WINDOW", window)
         domain = InputDomain([[str(n) for n in range(100)]])
         for missing in ("10", "99"):
             entries = {(str(n),): (str(n),) for n in range(100)}
@@ -360,7 +360,7 @@ def test_pipelined_exec_matches_one_request_at_a_time(sizes, modulus, mode, stra
 
     outcomes = []
     for window in (1, 64):
-        with mock.patch.object(programs, "_WINDOW", window):
+        with mock.patch.object(command, "_WINDOW", window):
             outcomes.append(runs())
     (report_one, (table_one, parts_one)), (report_piped, (table_piped, parts_piped)) = outcomes
     assert report_piped == report_one
