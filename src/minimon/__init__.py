@@ -42,7 +42,6 @@ _ORIGIN = {
     "Witness": "properties",
     "build_table": "tester",
     "compose": "minimiser",
-    "covers_domain": "properties",
     "find_witness": "properties",
     "load_domain": "trace",
     "load_minimiser": "minimiser",

@@ -21,7 +21,7 @@ from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .probes import check_arity, check_budget, stream
 from .programs import Program
 from .trace import (
-    _BLANK, _PRE_LINE, Event, InputDomain, InputTuple, _Frozen, _json_line,
+    _BLANK, _PRE_LINE, InputDomain, InputTuple, _Frozen, _json_line,
     _json_tokens, _Record, file_lines, token_array,
 )
 
@@ -239,9 +239,6 @@ class ComposedProgram(Program):
         super().__init__(program.arity, f"pre+{program.name}")
         self.program = program
         self.table = table
-
-    def observe(self, inputs: InputTuple) -> Event:
-        return self.program.observe(self.table.apply(inputs))
 
     def pairs(self, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
         """The inner program's stream over the pre-processed inputs."""

@@ -10,7 +10,6 @@ satisfaction cannot be broken by deterministic repeats.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 
@@ -50,8 +49,9 @@ class MonitorConfig(_Frozen):
 
 
 class Monitor:
-    """Stateful monitor; feed events with step() or a stream with steps(),
-    read verdict/witness.
+    """Stateful monitor; feed a stream of (inputs, output) pairs with
+    steps(), or one event with step(), which is a one-pair steps(); read
+    verdict/witness.
 
     Violations are detected against a first-occurrence CollisionIndex, which
     also reproduces the least witness pair. Only a new input touches the
@@ -74,10 +74,6 @@ class Monitor:
         self._index = CollisionIndex(config.mode)
         self._verdict = Verdict.UNKNOWN
         self._witness: Witness | None = None
-        # step_io() feeds one steps() loop through this inbox, so a single
-        # step creates no generator; the loop starts at the first step.
-        self._inbox: deque[tuple[InputTuple, str]] = deque()
-        self._stepper = self.steps(iter(self._inbox.popleft, None))
 
     @property
     def verdict(self) -> Verdict:
@@ -93,18 +89,8 @@ class Monitor:
 
     def step(self, event: Event) -> Verdict:
         """Consume one event and return the verdict for the trace so far."""
-        return self.step_io(event.inputs, event.output)
-
-    def step_io(self, inputs: InputTuple, output: str) -> Verdict:
-        """step() for one (inputs, output) observation whose tokens the
-        caller has already checked, as iter_io_lines and Event do."""
-        self._inbox.append((inputs, output))
-        try:
-            return next(self._stepper)
-        except BaseException:
-            # The error ended the loop; the next step starts a new one.
-            self._stepper = self.steps(iter(self._inbox.popleft, None))
-            raise
+        [verdict] = self.steps(((event.inputs, event.output),))
+        return verdict
 
     def steps(self, pairs: Iterable[tuple[InputTuple, str]], line_of=None) -> Iterator[Verdict]:
         """Step each (inputs, output) pair, whose tokens the caller has

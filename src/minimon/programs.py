@@ -60,8 +60,10 @@ class Program:
             )
 
     def observe(self, inputs: InputTuple) -> Event:
-        """The event a monitor attached to this program sees for `inputs`."""
-        return _checked_event(inputs, self.evaluate(inputs))
+        """The event a monitor attached to this program sees for `inputs`:
+        the one pair of pairs((inputs,))."""
+        [pair] = self.pairs((inputs,))
+        return _checked_event(*pair)
 
     def pairs(self, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
         """(observed inputs, output) for each input of `order`, yielded in

@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 
-from .errors import InputOutsideDomain
-from .trace import InputDomain, InputTuple, Trace, _Frozen
+from .trace import InputTuple, Trace, _Frozen
 
 
 class Mode(Enum):
@@ -129,30 +128,3 @@ def find_witness(mode: Mode, trace: Trace) -> Witness | None:
     firsts = ((inputs, out, pos) for inputs, (out, pos) in trace._first_seen.items())
     best = least_collision(mode, firsts)
     return None if best is None else Witness(mode, *best)
-
-
-def covers_domain(domain: InputDomain, trace: Trace) -> bool:
-    """True iff every element of the domain occurs as an input of `trace`.
-
-    Short-circuits to False when the trace is shorter than the domain size;
-    otherwise scans with a seen-set and stops as soon as the count of
-    distinct in-domain inputs reaches domain.size. An input outside the
-    domain is an error (the declared domain is wrong), not a False.
-    """
-    if trace.arity is not None and trace.arity != domain.arity:
-        raise ValueError(
-            f"trace arity {trace.arity} does not match domain arity {domain.arity}"
-        )
-    if len(trace) < domain.size:
-        return False
-    seen: set[InputTuple] = set()
-    for pos, (inputs, _) in enumerate(trace._pairs):
-        if not domain.contains(inputs):
-            raise InputOutsideDomain(
-                f"input {inputs} at position {pos} is outside the declared domain",
-                position=pos,
-            )
-        seen.add(inputs)
-        if len(seen) == domain.size:
-            return True
-    return False

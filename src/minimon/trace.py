@@ -201,27 +201,6 @@ class Trace:
     def __repr__(self) -> str:
         return f"Trace({len(self._pairs)} events, arity={self._arity})"
 
-    def append(self, event: Event) -> Trace:
-        """Extended trace, or DeterminismViolation naming the conflicting
-        prior position."""
-        if not isinstance(event, Event):
-            raise TypeError(f"expected Event, got {type(event).__name__}")
-        if self._arity is not None and event.arity != self._arity:
-            raise ValueError(
-                f"event has arity {event.arity}, trace has arity {self._arity}"
-            )
-        first_seen = self._first_seen
-        prior = first_seen.get(event.inputs)
-        if prior is not None and prior[0] != event.output:
-            raise DeterminismViolation(
-                f"input {event.inputs} produced {event.output!r} "
-                f"but {prior[0]!r} at position {prior[1]}",
-                index=prior[1],
-            )
-        if prior is None:
-            first_seen = {**first_seen, event.inputs: (event.output, len(self._pairs))}
-        return Trace._from_checked(self._pairs + ((event.inputs, event.output),), first_seen)
-
     def distinct_inputs(self) -> int:
         return len(self._first_seen)
 

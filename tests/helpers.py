@@ -87,6 +87,33 @@ def random_full_table(
     return domain, mapping
 
 
+def ref_trace_events(events) -> list[Event]:
+    """The events Trace(events) keeps, or the first fault it raises: a
+    non-Event, then an arity that differs from the first event's, then an
+    output that differs from the input's earlier one."""
+    events = list(events)
+    for pos, e in enumerate(events):
+        if not isinstance(e, Event):
+            raise TypeError(f"expected Event, got {type(e).__name__}")
+        if len(e.inputs) != len(events[0].inputs):
+            raise ValueError(
+                f"event {pos} has arity {len(e.inputs)}, trace has arity {len(events[0].inputs)}"
+            )
+        for prior, earlier in enumerate(events[:pos]):
+            if earlier.inputs == e.inputs and earlier.output != e.output:
+                raise DeterminismViolation(
+                    f"input {e.inputs} produced {e.output!r} at position {pos} "
+                    f"but {earlier.output!r} at position {prior}",
+                    index=prior,
+                )
+    return events
+
+
+def covers(domain: InputDomain, trace: Trace) -> bool:
+    """True iff every element of `domain` occurs as an input of `trace`."""
+    return {e.inputs for e in trace} == set(domain.enumerate())
+
+
 def naive_mono_witness(trace: Trace) -> tuple[int, int] | None:
     """Least pair of positions with different inputs, equal outputs."""
     for a in range(len(trace)):

@@ -284,7 +284,7 @@ def test_criterion_09_closure_properties(criterion):
                         forced = outputs.get(inputs)
                         outs = [forced] if forced else ["0", "1"]
                         for out in outs:
-                            extended = trace.append(Event(inputs, out))
+                            extended = Trace((*events, Event(inputs, out)))
                             assert find_witness(mode, extended) is not None
         assert violating_seen > 20 and satisfied_seen > 20
 

@@ -25,7 +25,6 @@ from minimon import (
     MonitorConfig,
     Trace,
     Verdict,
-    covers_domain,
     find_witness,
     monitor_eval,
     prefix_verdicts,
@@ -33,6 +32,7 @@ from minimon import (
 from minimon import cli
 
 from helpers import (
+    covers,
     mono,
     naive_mono_witness,
     naive_sdm_witness,
@@ -166,13 +166,13 @@ def test_refused_input_is_recorded_nowhere(domain, bad, error, message):
     """An input is checked at its first occurrence; a refused one leaves no
     record, so it is refused again, and a valid input after it still steps."""
     mon = Monitor(MonitorConfig(Mode.MONOLITHIC, domain))
-    mon.step_io(("1",), "a")
+    mon.step(mono("1", "a"))
     for _ in range(2):
         with pytest.raises(error, match=re.escape(message)):
-            mon.step_io(bad, "b")
+            mon.step(Event(bad, "b"))
         assert mon.first_seen == {("1",): ("a", 0)}
         assert mon.events_seen == 1
-    assert mon.step_io(("2",), "a") is Verdict.FALSE
+    assert mon.step(mono("2", "a")) is Verdict.FALSE
     assert (mon.witness.index_a, mon.witness.index_b) == (0, 1)
 
 
@@ -197,13 +197,13 @@ class _CountingDict(dict):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_one_record_operation_per_event(mode):
-    """step_io() makes one dictionary operation per event: on a new input
+    """step() makes one dictionary operation per event: on a new input
     and on a repeat."""
     mon = Monitor(MonitorConfig(mode, InputDomain([("0", "1", "2"), ("0", "1")])))
     mon.first_seen = record = _CountingDict()
     events = [(("0", "0"), "a"), (("1", "0"), "b"), (("0", "0"), "a"), (("2", "1"), "c"), (("1", "0"), "b")]
     for inputs, output in events:
-        mon.step_io(inputs, output)
+        mon.step(Event(inputs, output))
     assert record.operations == len(events)
     assert mon.first_occurrences([0, 1, 3]) == [events[0], events[1], events[3]]
 
@@ -284,8 +284,8 @@ def _drive(monitor: Monitor, pairs, how: str):
                 verdicts.append(verdict)
         else:
             for k, (inputs, output) in enumerate(pairs):
-                if how == "step_io" or k % 2:
-                    verdicts.append(monitor.step_io(inputs, output))
+                if how == "step" or k % 2:
+                    verdicts.append(monitor.step(Event(inputs, output)))
                 else:  # "mixed": every other pair through a one-pair stream
                     verdicts.extend(monitor.steps([(inputs, output)]))
     except (MinimonError, ValueError) as exc:
@@ -301,7 +301,7 @@ def _drive(monitor: Monitor, pairs, how: str):
     fault=st.sampled_from(_STREAM_FAULTS),
 )
 def test_one_loop_one_semantics(seed, mode, with_domain, fault):
-    """steps() over a stream, one step_io() per pair, and the two mixed all
+    """steps() over a stream, one step() per pair, and the two mixed all
     give the naive verdict on every prefix and the naive witness. A stream
     with one faulty pair (wrong arity, an input outside the domain, or a
     determinism conflict, before or after a latch) stops there with the same
@@ -322,7 +322,7 @@ def test_one_loop_one_semantics(seed, mode, with_domain, fault):
     record = {}
     for pos, (inputs, output) in enumerate(clean):
         record.setdefault(inputs, (output, pos))
-    for how in ("steps", "step_io", "mixed"):
+    for how in ("steps", "step", "mixed"):
         mon = Monitor(MonitorConfig(mode, domain))
         if bad is None:
             assert _drive(mon, clean, how) == (expected, None)
@@ -410,7 +410,7 @@ def test_stepwise_verdict_matches_declarative_oracle(seed, mode, with_domain):
         prefix = Trace(trace.events[:k])
         if find_witness(mode, prefix) is not None:
             expected = Verdict.FALSE
-        elif domain is not None and covers_domain(domain, prefix) and k >= 2:
+        elif domain is not None and covers(domain, prefix) and k >= 2:
             expected = Verdict.TRUE
         else:
             expected = Verdict.UNKNOWN

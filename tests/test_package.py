@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
     "InputOutsideDomain", "MinimiserTable", "MinimonError", "Mode", "Monitor",
     "MonitorConfig", "ParseError", "PartitionMap", "Program", "ProgramFailure",
     "TableProgram", "TestReport", "Trace", "UnknownBuiltin", "ValidationReport",
-    "Verdict", "Witness", "build_table", "compose", "covers_domain",
+    "Verdict", "Witness", "build_table", "compose",
     "find_witness", "load_domain", "load_minimiser", "load_trace",
     "make_builtin", "monitor_eval", "parse_trace", "prefix_verdicts",
     "run_test", "save_minimiser", "serialize_trace", "synthesize",

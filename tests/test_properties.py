@@ -10,12 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from minimon import (
     Event,
-    InputDomain,
-    InputOutsideDomain,
     Mode,
     Trace,
     Witness,
-    covers_domain,
     find_witness,
 )
 
@@ -148,44 +145,6 @@ class TestWitnessesAgainstNaiveScan:
             assert got == expected
 
 
-class TestCoversDomain:
-    def test_full_coverage(self):
-        d = InputDomain([("0", "1"), ("0", "1")])
-        events = [Event(i, "x") for i in d.enumerate()]
-        assert covers_domain(d, Trace(events))
-
-    def test_short_trace_is_false_without_scanning(self):
-        # shorter than the domain: even an out-of-domain input is not examined
-        d = InputDomain([("0", "1"), ("0", "1")])
-        t = Trace([Event(("9", "9"), "x")])
-        assert covers_domain(d, t) is False
-
-    def test_out_of_domain_input_raises_with_position(self):
-        d = InputDomain([("1", "2", "3")])
-        t = Trace([mono("1", "x"), mono("2", "x"), mono("9", "x")])
-        with pytest.raises(InputOutsideDomain) as exc:
-            covers_domain(d, t)
-        assert exc.value.position == 2
-
-    def test_missing_elements(self):
-        d = InputDomain([("1", "2", "3")])
-        t = Trace([mono("1", "x"), mono("2", "x"), mono("2", "x"), mono("1", "x")])
-        assert covers_domain(d, t) is False
-
-    def test_repeats_still_cover(self):
-        d = InputDomain([("1", "2")])
-        t = Trace([mono("1", "x"), mono("1", "x"), mono("2", "y")])
-        assert covers_domain(d, t)
-
-    def test_arity_mismatch(self):
-        d = InputDomain([("1", "2"), ("1", "2")])
-        with pytest.raises(ValueError):
-            covers_domain(d, Trace([mono("1", "x")]))
-
-    def test_empty_trace(self):
-        assert covers_domain(InputDomain([("1",)]), Trace()) is False
-
-
 def _prefixes(trace: Trace):
     return (Trace(trace.events[:k]) for k in range(len(trace) + 1))
 
@@ -209,7 +168,7 @@ class TestClosure:
                     continue
                 found += 1
                 for e in t.events[:4]:
-                    assert find_witness(mode, t.append(e)) is not None
+                    assert find_witness(mode, Trace((*t.events, e))) is not None
         assert found > 20
 
 

@@ -3,7 +3,6 @@ enumeration, and trace file round-trips."""
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import os
@@ -25,7 +24,6 @@ from minimon import (
     ParseError,
     TableProgram,
     Trace,
-    covers_domain,
     load_minimiser,
     load_trace,
     monitor_eval,
@@ -45,6 +43,7 @@ from helpers import (
     ref_io_records,
     ref_minimiser,
     ref_parse_trace,
+    ref_trace_events,
     table1_events,
 )
 
@@ -76,36 +75,37 @@ class TestTokens:
 
 
 class TestTrace:
+    """A trace is extended by building a new one: Trace((*t.events, e))."""
+
     def test_append_to_empty(self):
-        t = Trace().append(mono("5000", "true"))
+        t = Trace((*Trace().events, mono("5000", "true")))
         assert len(t) == 1 and t.arity == 1
 
     def test_append_conflicting_output_names_prior_position(self):
         t = Trace([mono("5000", "true")])
         with pytest.raises(DeterminismViolation) as exc:
-            t.append(mono("5000", "false"))
+            Trace((*t.events, mono("5000", "false")))
         assert exc.value.index == 0
 
     def test_append_repeat_event_ok(self):
-        t = Trace([mono("5000", "true")]).append(mono("5000", "true"))
-        assert len(t) == 2
+        t = Trace([mono("5000", "true")])
+        assert len(Trace((*t.events, mono("5000", "true")))) == 2
 
     def test_append_second_event(self):
-        t = Trace([mono("5000", "true")]).append(mono("11000", "false"))
+        t = Trace([mono("5000", "true")])
+        t = Trace((*t.events, mono("11000", "false")))
         assert [e.inputs for e in t] == [("5000",), ("11000",)]
 
     def test_append_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            Trace([mono("1", "x")]).append(Event(("1", "2"), "x"))
+        t = Trace([mono("1", "x")])
+        with pytest.raises(ValueError, match="^event 1 has arity 2, trace has arity 1$"):
+            Trace((*t.events, Event(("1", "2"), "x")))
 
     @pytest.mark.parametrize("events", [[], [mono("1", "x")]])
     def test_append_rejects_a_non_event(self, events):
-        """The type is checked before any attribute of the event is read, as
-        the constructor checks it."""
+        """The type is checked before any attribute of the event is read."""
         with pytest.raises(TypeError, match="^expected Event, got str$"):
-            Trace(events).append("x")
-        with pytest.raises(TypeError, match="^expected Event, got str$"):
-            Trace(events + ["x"])
+            Trace((*Trace(events).events, "x"))
 
     def test_constructor_rejects_conflicts(self):
         with pytest.raises(DeterminismViolation):
@@ -114,9 +114,9 @@ class TestTrace:
     def test_is_prefix(self):
         empty = Trace()
         one = Trace([mono("5000", "true")])
-        two = one.append(mono("11000", "false"))
+        two = Trace((*one.events, mono("11000", "false")))
         other = Trace([mono("11000", "false")])
-        # append extends: what was there is a prefix of the result
+        # extending keeps what was there as a prefix of the result
         assert two[: len(empty)] == empty.events
         assert two[: len(one)] == one.events
         assert two[: len(two)] == two.events
@@ -148,45 +148,34 @@ def test_trace_construction_enforces_determinism(events):
 
 @given(
     st.lists(
-        st.tuples(
-            st.sampled_from([("0",), ("1",), ("2",), ("0", "1")]),
-            st.sampled_from(["a", "b"]),
+        st.one_of(
+            st.tuples(
+                st.sampled_from([("0",), ("1",), ("2",), ("0", "1")]),
+                st.sampled_from(["a", "b"]),
+            ).map(lambda pair: Event(*pair)),
+            st.just("x"),
         ),
         max_size=12,
-    ).map(lambda pairs: [Event(i, o) for i, o in pairs])
+    )
 )
-def test_append_agrees_with_constructor(events):
-    """A chain of appends builds Trace(events), or fails at the event where
-    Trace(events) fails, naming the same prior position."""
-    trace = Trace()
-    first: dict = {}
-    for pos, e in enumerate(events):
-        prior = first.get(e.inputs)
-        if trace.arity is not None and e.arity != trace.arity:
-            with pytest.raises(ValueError, match=f"trace has arity {trace.arity}"):
-                trace.append(e)
-            with pytest.raises(ValueError, match=f"event {pos} has arity"):
-                Trace(events)
-            return
-        if prior is not None and prior[0] != e.output:
-            with pytest.raises(DeterminismViolation) as exc:
-                trace.append(e)
-            assert str(exc.value) == (
-                f"input {e.inputs} produced {e.output!r} but {prior[0]!r} at position {prior[1]}"
-            )
-            with pytest.raises(DeterminismViolation) as whole:
-                Trace(events)
-            assert exc.value.index == whole.value.index == prior[1]
-            return
-        first.setdefault(e.inputs, (e.output, pos))
-        before = trace
-        trace = trace.append(e)
-        assert len(before) == pos  # the trace appended to is unchanged
-        assert before.distinct_inputs() == len(first) - (prior is None)
-    built = Trace(events)
-    assert trace == built and trace.arity == built.arity
-    assert trace.distinct_inputs() == built.distinct_inputs() == len(first)
-    assert trace._first_seen == built._first_seen == first
+def test_constructor_matches_reference(events):
+    """Trace(events) keeps the events the naive reference keeps, or fails
+    at the first faulty event as the reference does: a non-Event, an arity
+    that differs from the first event's, or a conflict with the input's
+    earlier output, with the same class, message and prior position."""
+    def outcome(build):
+        try:
+            return build(events)
+        except (TypeError, ValueError, DeterminismViolation) as exc:
+            return type(exc), str(exc), getattr(exc, "index", None)
+
+    got = outcome(lambda e: list(Trace(e)))
+    assert got == outcome(ref_trace_events)
+    if isinstance(got, list):
+        first = {}
+        for pos, e in enumerate(events):
+            first.setdefault(e.inputs, (e.output, pos))
+        assert Trace(events)._first_seen == first
 
 
 @given(events_strategy)
@@ -230,8 +219,8 @@ def _read(sequence, index):
 @settings(max_examples=200, deadline=None)
 @given(_deterministic_events())
 def test_trace_reads_the_same_however_it_was_built(events):
-    """Trace(events), a chain of appends, a parse of the serialised trace
-    and a monitor's trace_of over the stepped pairs are one trace: equal,
+    """Trace(events), a parse of the serialised trace and a monitor's
+    trace_of over the stepped pairs are one trace: equal,
     with the hash of the event tuple, and read back as the same Events."""
     pairs = [(e.inputs, e.output) for e in events]
     monitor = Monitor(MonitorConfig(Mode.MONOLITHIC))
@@ -240,7 +229,6 @@ def test_trace_reads_the_same_however_it_was_built(events):
     built = Trace(events)
     traces = [
         built,
-        functools.reduce(Trace.append, events, Trace()),
         parse_trace(serialize_trace(built)),
         monitor.trace_of(pairs),
     ]
@@ -261,7 +249,7 @@ def test_trace_reads_the_same_however_it_was_built(events):
 
 
 def test_no_event_is_built_below_the_api_edge(monkeypatch, tmp_path):
-    """Loading, monitoring, testing, covering and serialising a trace pass
+    """Loading, monitoring, testing and serialising a trace pass
     (inputs, output) pairs: no Event is built until a caller reads one."""
     built = []
     make = trace_module._checked_event
@@ -287,7 +275,6 @@ def test_no_event_is_built_below_the_api_edge(monkeypatch, tmp_path):
             config = MonitorConfig(mode, domain)
             assert monitor_eval(config, trace)[0].value == "TRUE"
             assert len(prefix_verdicts(config, trace)) == len(trace) == 7
-        assert covers_domain(domain, trace)
         assert serialize_trace(trace) == text
     assert built == []
     event = reports[0].trace[2]
