@@ -40,7 +40,6 @@ _ORIGIN = {
     "ValidationReport": "minimiser",
     "Verdict": "monitor",
     "Witness": "properties",
-    "build_table": "tester",
     "compose": "minimiser",
     "find_witness": "properties",
     "load_domain": "trace",

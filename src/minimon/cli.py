@@ -377,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MinimonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:  # exit 1 would read as FALSE
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

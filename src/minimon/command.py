@@ -126,9 +126,6 @@ class CommandProgram(Program):
     def _stderr_excerpt(self) -> str:
         return b"".join(self._stderr_tail).decode("utf-8", errors="replace")
 
-    def _request_line(self, inputs: InputTuple) -> bytes:
-        return ("\t".join(inputs) + "\n").encode("utf-8")
-
     def _parse_reply(self, raw: bytes) -> str:
         if not raw.endswith(b"\n"):
             raise ProgramFailure(
@@ -180,7 +177,7 @@ class CommandProgram(Program):
                 if hit:
                     window.append((inputs, False))
                     continue
-                line = self._request_line(inputs)
+                line = ("\t".join(inputs) + "\n").encode("utf-8")
                 if requests and size + len(line) > _WINDOW_BYTES:
                     carry.append(inputs)
                     break

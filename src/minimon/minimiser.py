@@ -35,7 +35,6 @@ class PartitionMap(_Record):
     """Domain inputs grouped by program output (groups in first-seen order,
     members in visitation order)."""
 
-    _fields = ("classes",)
     classes: dict[str, tuple[InputTuple, ...]]
 
     def __init__(self, classes: dict[str, tuple[InputTuple, ...]]) -> None:
@@ -49,7 +48,6 @@ class PartitionMap(_Record):
 class MinimiserTable(_Record):
     """A total input -> representative map over some domain."""
 
-    _fields = ("mapping", "arity")
     mapping: dict[InputTuple, InputTuple]
     arity: int
 
@@ -122,7 +120,6 @@ def synthesize(
 class ValidationFailure(_Frozen):
     """One counterexample found by validate_preprocessor."""
 
-    _fields = ("kind", "inputs", "note")
     kind: str
     inputs: tuple[InputTuple, ...]
     note: str
@@ -137,7 +134,6 @@ class ValidationFailure(_Frozen):
 class ValidationReport(_Record):
     """Outcome of validate_preprocessor."""
 
-    _fields = ("is_preprocessor", "is_minimiser", "failures")
     is_preprocessor: bool
     is_minimiser: bool
     failures: list[ValidationFailure]

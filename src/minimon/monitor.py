@@ -40,7 +40,6 @@ class MonitorConfig(_Frozen):
     Without a domain the monitor can never conclude TRUE (two-case mode).
     """
 
-    _fields = ("mode", "domain")
     mode: Mode
     domain: InputDomain | None = None
 
@@ -138,12 +137,6 @@ class Monitor:
                 elif pos and len(first_seen) == size:
                     self._verdict = Verdict.TRUE
             yield self._verdict
-
-    def trace_of(self, pairs: Sequence[tuple[InputTuple, str]]) -> Trace:
-        """The Trace of `pairs`, which must be exactly the (inputs, output)
-        pairs stepped so far, built from this monitor's first-occurrence
-        record instead of a second scan."""
-        return Trace._from_checked(tuple(pairs), dict(self.first_seen))
 
     def first_occurrences(self, positions: Sequence[int]) -> list[tuple[InputTuple, str]]:
         """(inputs, output) of the events at `positions`, in order. Each must

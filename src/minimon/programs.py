@@ -38,8 +38,7 @@ class Program:
         self._record: dict[InputTuple, str] = {}
 
     def evaluate(self, inputs: InputTuple) -> str:
-        if self._memo_has(inputs):
-            return self._record[inputs]
+        """The output for `inputs`: the one pair of pairs((inputs,))."""
         [(_, output)] = self.pairs((inputs,))
         return output
 
@@ -70,8 +69,8 @@ class Program:
         order: what observe() gives, without the Event.
 
         A handle may send inputs ahead of the consumer. It still gives what
-        one evaluate() call per input gives, each error included, at the same
-        input; a consumer may stop at any point."""
+        one one-input stream per input gives, each error included, at the
+        same input; a consumer may stop at any point."""
         memo_has, check, call = self._memo_has, self._check_inputs, self._call
         record, name = self._record, self.name
         for inputs in order:
@@ -165,11 +164,7 @@ class TableProgram(Program):
 
     def infer_domain(self) -> InputDomain:
         """Per-source value sets of the rows, required to form a full product."""
-        per_source = [set() for _ in range(self.arity)]
-        for key in self.mapping:
-            for j, c in enumerate(key):
-                per_source[j].add(c)
-        domain = InputDomain(per_source)
+        domain = InputDomain(zip(*self.mapping))
         if domain.size != len(self.mapping):
             raise ParseError(
                 f"table {self.name!r} is not a full product domain: "

@@ -29,7 +29,6 @@ class Witness(_Frozen):
     differ at exactly `differing_source` (strong-distributed, 0-based).
     """
 
-    _fields = ("kind", "index_a", "index_b", "differing_source")
     kind: Mode
     index_a: int
     index_b: int

@@ -29,7 +29,6 @@ LEXICOGRAPHIC = "lexicographic"
 class FunctionTable(_Record):
     """A program materialised as a total map over a product domain."""
 
-    _fields = ("domain", "outputs")
     domain: InputDomain
     outputs: dict[InputTuple, str]
 
@@ -37,21 +36,10 @@ class FunctionTable(_Record):
         self._set(domain, outputs)
 
 
-def build_table(program, domain: InputDomain) -> FunctionTable:
-    """Invoke the program once per domain element, in enumeration order. A
-    domain larger than the budget is refused before any probe."""
-    check_arity(program, domain)
-    check_budget(domain.size, "table needs {} probes")
-    order = list(domain.enumerate())
-    pairs = zip(order, stream(program, order))
-    return FunctionTable(domain, {inputs: out for inputs, (_, out) in pairs})
-
-
 class CollisionWitness(_Frozen):
     """Two domain inputs sharing an output; `differing_source` set when the
     collision is between inputs at Hamming distance 1."""
 
-    _fields = ("input_a", "input_b", "differing_source")
     input_a: InputTuple
     input_b: InputTuple
     differing_source: int | None = None
@@ -65,7 +53,6 @@ class CollisionWitness(_Frozen):
 class IndistinguishablePair(_Frozen):
     """Two values of one source that no context of the others separates."""
 
-    _fields = ("source", "value_a", "value_b")
     source: int
     value_a: str
     value_b: str
@@ -129,7 +116,6 @@ def table_dist_minimal(table: FunctionTable) -> tuple[bool, IndistinguishablePai
 class TestReport(_Record):
     """Outcome of a full-domain test run. Verdicts are always conclusive."""
 
-    _fields = ("verdict", "witness", "steps", "trace", "strategy", "seed")
     verdict: Verdict
     witness: Witness | None
     steps: int
@@ -189,7 +175,7 @@ def run_test(
                 verdict,
                 monitor.witness,
                 len(pairs),
-                monitor.trace_of(pairs),
+                Trace._from_checked(pairs, dict(monitor.first_seen)),  # no second scan
                 strategy,
                 seed if strategy == RANDOM_PERMUTATION else None,
             )

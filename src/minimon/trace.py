@@ -58,31 +58,24 @@ def check_input_tuple(coords: object) -> InputTuple:
     return coords
 
 
-def _source_key(tokens: Iterable[str]):
-    """Canonical per-source sort key: numeric when every token is a decimal
-    integer, text otherwise. Tokens with equal numeric value but different
-    text ("05" vs "5") tie-break on the text."""
-    toks = list(tokens)
-    if all(_INT_RE.fullmatch(t) for t in toks):
-        return lambda t: (int(t), t)
-    return lambda t: t
-
-
 def _canonical_source(tokens: set[str]) -> tuple[str, ...]:
-    """The distinct tokens of one source in canonical order."""
-    return tuple(sorted(tokens, key=_source_key(tokens)))
+    """The distinct tokens of one source in canonical order: numeric when
+    every token is a decimal integer, text otherwise. Tokens with equal
+    numeric value but different text ("05" vs "5") tie-break on the text."""
+    if all(map(_INT_RE.fullmatch, tokens)):
+        return tuple(sorted(tokens, key=lambda t: (int(t), t)))
+    return tuple(sorted(tokens))
 
 
 class _Record:
     """Base of the public record types: the equality and repr that a
-    dataclass generates, from the `_fields` tuple. Mutable, so unhashable:
-    a class that defines __eq__ alone gets __hash__ = None."""
-
-    _fields: tuple[str, ...] = ()
+    dataclass generates, over the fields a subclass annotates. Mutable, so
+    unhashable: a class that defines __eq__ alone gets __hash__ = None."""
 
     def __init_subclass__(cls) -> None:
-        if cls._fields:  # every subclass but _Frozen
-            cls.__match_args__ = cls._fields
+        # A class's own annotations only (Python 3.10+): none for _Frozen or a bare subclass.
+        if cls.__annotations__:
+            cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
             # An attrgetter binds no self: call self._values(self). One field gives the bare value.
             cls._values = attrgetter(*cls._fields)
 
@@ -116,14 +109,11 @@ class _Frozen(_Record):
 class Event(_Frozen):
     """One observation: an input tuple and the output it produced."""
 
-    _fields = ("inputs", "output")
     inputs: InputTuple
     output: str
 
     def __init__(self, inputs: InputTuple, output: str) -> None:
-        # The most-built record sets its fields without _set's loop.
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "output", output)
+        self._set(inputs, output)
         check_input_tuple(inputs)
         check_token(output)
 
@@ -223,16 +213,8 @@ class InputDomain:
             raise ValueError("domain needs at least one source")
         self._adopt(canon)
 
-    @classmethod
-    def _from_canonical(cls, canon: list[tuple[str, ...]]) -> InputDomain:
-        """A domain over a non-empty list of sources each already made of
-        distinct checked tokens in _source_key order. Skips the checks and
-        the sort that __init__ makes."""
-        domain = object.__new__(cls)
-        domain._adopt(canon)
-        return domain
-
     def _adopt(self, canon: list[tuple[str, ...]]) -> None:
+        """Adopt `canon`: non-empty, each source of distinct checked tokens in canonical order."""
         self._sources = tuple(canon)
         self._sets = tuple(frozenset(s) for s in canon)
         size = 1
@@ -306,7 +288,9 @@ class InputDomain:
                 built.append(tuple(map(str, range(lo, hi + 1))))
             else:
                 raise ParseError(f'source {k}: expected "set" or "range"')
-        return cls._from_canonical(built)
+        domain = object.__new__(cls)  # checked and canonical: skip __init__
+        domain._adopt(built)
+        return domain
 
 
 def load_domain(path: str) -> InputDomain:

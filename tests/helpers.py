@@ -10,7 +10,9 @@ import json
 import random
 import sys
 
-from minimon import DeterminismViolation, Event, InputDomain, InputOutsideDomain, ParseError, Trace
+from minimon import (
+    DeterminismViolation, Event, FunctionTable, InputDomain, InputOutsideDomain, ParseError, Trace,
+)
 from minimon.minimiser import ValidationFailure, ValidationReport
 from minimon.properties import CollisionIndex, Mode
 
@@ -107,6 +109,11 @@ def ref_trace_events(events) -> list[Event]:
                     index=prior,
                 )
     return events
+
+
+def build_table(program, domain: InputDomain) -> FunctionTable:
+    """The program's output for every domain element, in enumeration order."""
+    return FunctionTable(domain, {i: program.evaluate(i) for i in domain.enumerate()})
 
 
 def covers(domain: InputDomain, trace: Trace) -> bool:

@@ -20,7 +20,6 @@ from minimon import (
     TableProgram,
     Trace,
     Verdict,
-    build_table,
     compose,
     find_witness,
     make_builtin,
@@ -36,6 +35,7 @@ from minimon import (
 from minimon.tester import FunctionTable
 
 from helpers import (
+    build_table,
     naive_sdm_witness,
     random_full_table,
     random_function_trace,

@@ -11,6 +11,7 @@ import os
 import pathlib
 import random
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -760,6 +761,25 @@ class TestErrors:
         assert run_cli("frobnicate").returncode == 3
         result = run_cli("check-trace", "--trace", "x", "--mode", "nope")
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("command", ["check-trace", "test"])
+    def test_out_of_memory_exits_3(self, files, command):
+        """A domain too large for memory is an error (exit 3), never FALSE
+        (exit 1). Only the child's address space is limited, to 1 GiB."""
+        domain = files("d.json", '{"sources":[{"range":[1,%d]}]}' % 10**12)
+        if command == "check-trace":
+            args = ["--trace", files("t.jsonl", TABLE1_TRACE)]
+        else:
+            args = ["--program", "builtin:identity"]
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "minimon", command, *args, "--domain", domain, "--mode", "mono"],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: out of memory\n")
 
     def test_singleton_domain_reports_mismatch(self, files):
         domain = files("d.json", '{"sources":[{"set":["7"]}]}')

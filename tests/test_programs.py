@@ -3,12 +3,14 @@ memo, table files, and the external line protocol."""
 
 from __future__ import annotations
 
+import itertools
 import sys
 import textwrap
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimon import (
     DeterminismViolation,
@@ -22,7 +24,6 @@ from minimon import (
     TableProgram,
     UnknownBuiltin,
     Verdict,
-    build_table,
     compose,
     make_builtin,
     run_test,
@@ -213,6 +214,29 @@ class TestTableProgram:
         del partial[("1", "1")]
         with pytest.raises(ParseError):
             TableProgram(partial).infer_domain()
+
+
+_ROW_TOKENS = st.sampled_from(["0", "00", "-0", "1", "01", "5", "05", "10", "a", "b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_ROW_TOKENS, min_size=1, max_size=4), min_size=1, max_size=3), st.data())
+def test_infer_domain_is_the_per_source_value_sets(sources, data):
+    """On a full table, infer_domain() is the domain of each source's set of
+    row values; on a partial one it raises the one ParseError."""
+    product = list(dict.fromkeys(itertools.product(*sources)))
+    dropped = data.draw(st.sets(st.integers(0, len(product) - 1), max_size=len(product) - 1))
+    rows = [row for k, row in enumerate(product) if k not in dropped]
+    program = TableProgram({row: "o" for row in rows})
+    naive = InputDomain([{row[j] for row in rows} for j in range(len(sources))])
+    if naive.size == len(rows):
+        assert program.infer_domain() == naive
+        return
+    with pytest.raises(ParseError) as info:
+        program.infer_domain()
+    assert str(info.value) == (
+        f"table 'table' is not a full product domain: {len(rows)} rows, product size {naive.size}"
+    )
 
 
 def _write_script(tmp_path, name: str, body: str) -> list[str]:
@@ -640,6 +664,19 @@ class TestPipeline:
             assert next(outputs(program, [("43",)])) == "o43"
         assert count.read_text() == "12"
 
+    def test_a_memo_hit_leaves_an_open_stream_alone(self, tmp_path):
+        """evaluate() on an input already answered sends no request, so a
+        stream with requests in flight reads on without error."""
+        count = tmp_path / "served.txt"
+        with CommandProgram(mod_worker(1000, 10, count), arity=1) as program:
+            assert program.evaluate(("42",)) == "o42"
+            stream = outputs(program, [(str(n),) for n in range(10)])
+            assert next(stream) == "o0"
+            assert program.evaluate(("42",)) == "o42"
+            assert next(stream) == "o1"
+            assert list(stream) == [f"o{n}" for n in range(2, 10)]
+        assert count.read_text() == "11"
+
     def test_composed_stream_matches_observe(self, tmp_path):
         """pairs() of a composition sees the pre-processed inputs and asks
         the inner worker once per representative."""
@@ -834,7 +871,6 @@ def test_drivers_observe_a_handle_without_pairs_once_per_input(kind):
         try:
             results.append((
                 run_test(handle, domain, Mode.STRONG_DISTRIBUTED, strategy=LEXICOGRAPHIC),
-                build_table(handle, domain),
                 synthesize(handle, domain),
                 validate_preprocessor(handle, domain, table),
             ))
@@ -842,7 +878,7 @@ def test_drivers_observe_a_handle_without_pairs_once_per_input(kind):
             handle.close()
     assert results[0] == results[1]
     report = results[1][0]
-    assert handle.observed == report.steps + 3 * domain.size
+    assert handle.observed == report.steps + 2 * domain.size
     first = ("1",) if kind == "composed-exec" else ("0",)
     assert report.verdict is Verdict.FALSE and report.trace[0].inputs == first
 

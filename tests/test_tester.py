@@ -17,7 +17,6 @@ from minimon import (
     TableProgram,
     Trace,
     Verdict,
-    build_table,
     make_builtin,
     run_test,
     synthesize,
@@ -36,7 +35,7 @@ from minimon.tester import (
     IndistinguishablePair,
 )
 
-from helpers import mod_worker, naive_dist_pair, random_full_table
+from helpers import build_table, mod_worker, naive_dist_pair, random_full_table
 
 BITS = InputDomain([["0", "1"], ["0", "1"]])
 
@@ -57,7 +56,6 @@ def test_build_table_arity_mismatch():
 
 
 @pytest.mark.parametrize("driver", [
-    build_table,
     lambda program, domain: run_test(program, domain, Mode.MONOLITHIC),
     lambda program, domain: synthesize(program, domain),
 ])
@@ -66,23 +64,6 @@ def test_arity_is_checked_before_the_budget(monkeypatch, driver):
     monkeypatch.setattr(minimiser, "DEFAULT_SYNTH_CAP", 0)
     with pytest.raises(ValueError, match="^program arity 2 does not match domain arity 1$"):
         driver(make_builtin("xor"), InputDomain([["0", "1"]]))
-
-
-def test_build_table_budget_is_checked_before_any_probe(monkeypatch):
-    calls = []
-
-    def spy(inputs):
-        calls.append(inputs)
-        return "".join(inputs)
-
-    program = programs.BuiltinProgram("spy", 2, spy)
-    monkeypatch.setenv("MINIMON_BUDGET", str(BITS.size - 1))
-    with pytest.raises(BudgetExceeded, match="table needs 4 probes, budget is 3"):
-        build_table(program, BITS)
-    assert calls == []
-    monkeypatch.setenv("MINIMON_BUDGET", str(BITS.size))
-    assert build_table(program, BITS).outputs == {i: "".join(i) for i in BITS.enumerate()}
-    assert len(calls) == BITS.size
 
 
 class TestMonoOracle:

@@ -219,8 +219,9 @@ def _read(sequence, index):
 @settings(max_examples=200, deadline=None)
 @given(_deterministic_events())
 def test_trace_reads_the_same_however_it_was_built(events):
-    """Trace(events), a parse of the serialised trace and a monitor's
-    trace_of over the stepped pairs are one trace: equal,
+    """Trace(events), a parse of the serialised trace and a trace built
+    from a monitor's record of the stepped pairs, as run_test builds its
+    report's, are one trace: equal,
     with the hash of the event tuple, and read back as the same Events."""
     pairs = [(e.inputs, e.output) for e in events]
     monitor = Monitor(MonitorConfig(Mode.MONOLITHIC))
@@ -230,7 +231,7 @@ def test_trace_reads_the_same_however_it_was_built(events):
     traces = [
         built,
         parse_trace(serialize_trace(built)),
-        monitor.trace_of(pairs),
+        Trace._from_checked(tuple(pairs), dict(monitor.first_seen)),
     ]
     n = len(events)
     indices = [*range(-n - 2, n + 2), "0"]
@@ -301,6 +302,16 @@ class TestDomain:
     def test_mixed_tokens_sort_as_text(self):
         d = InputDomain([("10", "9", "x")])
         assert [i[0] for i in d.enumerate()] == ["10", "9", "x"]
+
+    @pytest.mark.parametrize("tokens, order", [
+        (["5", "05", "0", "-0", "10", "-3", "005"], ("-3", "-0", "0", "005", "05", "5", "10")),
+        (["5", "05", "x", "-0", "0"], ("-0", "0", "05", "5", "x")),
+    ])
+    def test_equal_integers_tie_break_on_the_text(self, tokens, order):
+        """Canonical order, given by the constructor and by a domain file's
+        "set" source alike: "05" before "5" and "-0" before "0"."""
+        assert InputDomain([tokens]).sources == (order,)
+        assert InputDomain.from_dict({"sources": [{"set": tokens}]}).sources == (order,)
 
     def test_size_and_contains(self):
         d = InputDomain([("0", "1"), ("a", "b", "c")])
