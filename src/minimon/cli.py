@@ -16,15 +16,16 @@ import argparse
 import itertools
 import json
 import sys
-from array import array
+from functools import partial
 
 from .errors import MinimonError
 from .trace import (
     InputDomain,
     file_lines,
-    io_records,
+    iter_io_lines,
     load_domain,
     parse_input_lines,
+    record_line,
 )
 
 EXIT_TRUE = 0
@@ -132,16 +133,17 @@ def _witness_text(witness, records=None) -> str:
 
 def cmd_check_trace(args) -> int:
     # The trace is streamed: the reader checks each record once and notes
-    # its file line, and the monitor's record is the determinism record, so
-    # a conflict names both file lines.
+    # only the blank lines it skips, and the monitor's record is the
+    # determinism record, so a conflict names both file lines.
     from .monitor import Monitor, MonitorConfig, Verdict
 
     mode = _mode(args)
     with open(args.trace, "r", encoding="utf-8") as fh:
         domain = load_domain(args.domain) if args.domain else None
         monitor = Monitor(MonitorConfig(mode, domain))
-        line_of = array("q")  # position -> file line, 8 bytes per event
-        verdicts = list(monitor.steps(io_records(file_lines(fh), line_of), line_of))
+        blanks: list[int] = []
+        records = iter_io_lines(file_lines(fh), blanks)
+        verdicts = list(monitor.steps(records, partial(record_line, blanks)))
     final = monitor.verdict
     witness = monitor.witness
     if args.json:

@@ -21,8 +21,8 @@ from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .probes import check_arity, check_budget, stream
 from .programs import Program
 from .trace import (
-    _BLANK, _PRE_LINE, InputDomain, InputTuple, _Frozen, _json_line,
-    _json_tokens, _Record, file_lines, token_array,
+    _BLANK, InputDomain, InputTuple, _Frozen, _json_line, _json_tokens, _pre_line, _Record,
+    file_lines, token_array,
 )
 
 DEFAULT_SYNTH_CAP = 10**6
@@ -258,16 +258,18 @@ def save_minimiser(table: MinimiserTable, path: str) -> None:
 
 
 def load_minimiser(path: str) -> MinimiserTable:
-    """Read a JSONL pre-processor table: lines {"from": [...], "to": [...]}."""
+    """Read a JSONL pre-processor table: lines {"from": [...], "to": [...]}.
+    Its arity rule and compact lines are read as iter_io_lines reads them."""
     mapping: dict[InputTuple, InputTuple] = {}
     arity: int | None = None
-    match = re.compile(_PRE_LINE).fullmatch
+    match = {}.get  # matches no line until the first entry sets the arity
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(file_lines(fh), start=1):
             m = match(line)
             if m is not None:
-                src, dst = tuple(m[1].split('","')), tuple(m[2].split('","'))
-            if m is None or len(src) != arity or len(dst) != arity:
+                tokens = m.groups()
+                src, dst = tokens[:arity], tokens[arity:]
+            else:
                 obj = _json_line(line, line_no)
                 if obj is _BLANK:
                     continue
@@ -277,6 +279,7 @@ def load_minimiser(path: str) -> MinimiserTable:
                 dst = token_array(obj, "to", line_no)
                 if arity is None:
                     arity = len(src)
+                    match = re.compile(_pre_line(arity)).fullmatch
                 if len(src) != arity or len(dst) != arity:
                     raise ParseError(
                         f"arities {len(src)}/{len(dst)} differ from earlier arity {arity}",

@@ -98,14 +98,18 @@ class Monitor:
         Each input is recorded once in `first_seen`. Only a new input is
         checked for arity and domain, and one that fails is not recorded: so
         every recorded input passed them, and a repeat is not checked again.
-        `line_of`, when given, holds the file line of every position stepped
-        so far, and a DeterminismViolation names both file lines. The
-        counters live on the monitor, not in this loop, so a stream may
-        follow step() calls or a refused input."""
+        An input of the monitor's arity is in the domain iff each token is
+        in its source's value set, as InputDomain.contains says; the sets
+        are bound once per stream. `line_of`, when given, maps a position to
+        its file line (see trace.record_line), and a DeterminismViolation
+        names both file lines. The counters live on the monitor, not in
+        this loop, so a stream may follow step() calls or a refused input."""
         first_seen = self.first_seen
         record = first_seen.setdefault
         index = self._index.add
         domain = self.config.domain
+        sets = domain._sets if domain is not None else None
+        has = frozenset.__contains__
         size = self._size
         for inputs, output in pairs:
             pos = self._events_seen
@@ -121,7 +125,7 @@ class Monitor:
                     raise ValueError(
                         f"event has arity {len(inputs)}, monitor expects {self._arity}"
                     )
-                if domain is not None and not domain.contains(inputs):
+                if sets is not None and not all(map(has, sets, inputs)):
                     del first_seen[inputs]
                     raise InputOutsideDomain(
                         f"input {inputs} at position {pos} is outside the declared domain",
@@ -141,14 +145,19 @@ class Monitor:
     def first_occurrences(self, positions: Sequence[int]) -> list[tuple[InputTuple, str]]:
         """(inputs, output) of the events at `positions`, in order. Each must
         be the first occurrence of its input, as both witness positions and a
-        DeterminismViolation's `index` are; the monitor keeps no other event."""
-        wanted = set(positions)
-        found = {
-            pos: (inputs, output)
-            for inputs, (output, pos) in self.first_seen.items()
-            if pos in wanted
-        }
-        return [found[pos] for pos in positions]
+        DeterminismViolation's `index` are (KeyError otherwise); the monitor
+        keeps no other event. `first_seen`'s insertion order is position
+        order, which deleting a refused input keeps, so each is bisected for."""
+        from bisect import bisect_left  # only a witness line needs it: not at start-up
+
+        inputs, firsts = list(self.first_seen), list(self.first_seen.values())
+        found = []
+        for pos in positions:
+            i = bisect_left(firsts, pos, key=lambda first: first[1])
+            if i == len(firsts) or firsts[i][1] != pos:
+                raise KeyError(pos)
+            found.append((inputs[i], firsts[i][0]))
+        return found
 
 
 def monitor_eval(config: MonitorConfig, trace: Trace) -> tuple[Verdict, Witness | None]:

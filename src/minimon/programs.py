@@ -22,7 +22,7 @@ from .errors import (
 )
 from .trace import (
     Event, InputDomain, InputTuple, _checked_event, _io_row, check_input_tuple, file_lines,
-    is_token, iter_io_lines,
+    is_token, iter_io_lines, record_line,
 )
 
 
@@ -148,15 +148,17 @@ class TableProgram(Program):
 
     @classmethod
     def load(cls, path: str) -> TableProgram:
-        rows: dict[InputTuple, tuple[str, int]] = {}  # input -> (output, first line)
+        rows: dict[InputTuple, tuple[str, int]] = {}  # input -> (output, first position)
+        blanks: list[int] = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, inputs, output in iter_io_lines(file_lines(fh)):
-                prior = rows.setdefault(inputs, (output, line_no))
+            for pos, (inputs, output) in enumerate(iter_io_lines(file_lines(fh), blanks)):
+                prior = rows.setdefault(inputs, (output, pos))
                 if prior[0] != output:
+                    line = record_line(blanks, pos)
                     raise DeterminismViolation(
-                        f"line {line_no}: duplicate input {list(inputs)} with output "
-                        f"{output!r}, conflicting with line {prior[1]}",
-                        line=line_no,
+                        f"line {line}: duplicate input {list(inputs)} with output "
+                        f"{output!r}, conflicting with line {record_line(blanks, prior[1])}",
+                        line=line,
                     )
         if not rows:
             raise ParseError("table file has no rows")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from array import array
 from collections.abc import Iterable, Iterator
+from functools import partial
 from io import TextIOBase
 from operator import attrgetter
 
@@ -335,14 +335,27 @@ def _json_line(line: str, line_no: int) -> object:
 # scanner reads as itself (no quote, backslash or control character) and
 # is_token allows (re's \s on str is exactly what str.isspace accepts). So
 # a line matches iff its record decodes with no escape, has these fields in
-# this order, and holds only value tokens. Each reader compiles its pattern
-# on its first call, and re's cache keeps it, so a command that reads no
+# this order, and holds only value tokens. A reader with an arity rule
+# decodes its first record and then compiles the pattern for that record's
+# arity, with one group per token; the inputs reader compiles _INPUT_LINE
+# on its first call. re's cache keeps each, so a command that reads no
 # JSONL file compiles none.
 _TOKEN_CHAR = r'[^"\\\x00-\x20\s]'
+_TOKEN = rf'"({_TOKEN_CHAR}+)"'  # group: one token
 _TOKENS = rf'"({_TOKEN_CHAR}+(?:","{_TOKEN_CHAR}+)*)"'  # group: the tokens joined by '","'
-_IO_LINE = rf'\{{"in":\[{_TOKENS}\],"out":"({_TOKEN_CHAR}+)"\}}\n?'
 _INPUT_LINE = rf'\{{"in":\[{_TOKENS}\](?:,"out":"{_TOKEN_CHAR}+")?\}}\n?'
-_PRE_LINE = rf'\{{"from":\[{_TOKENS}\],"to":\[{_TOKENS}\]\}}\n?'
+
+
+def _io_line(arity: int) -> str:
+    """The compact `{"in": [...], "out": ...}` line of `arity` inputs."""
+    tokens = ",".join([_TOKEN] * arity)
+    return rf'\{{"in":\[{tokens}\],"out":{_TOKEN}\}}\n?'
+
+
+def _pre_line(arity: int) -> str:
+    """The compact `{"from": [...], "to": [...]}` line of `arity` tokens each."""
+    tokens = ",".join([_TOKEN] * arity)
+    return rf'\{{"from":\[{tokens}\],"to":\[{tokens}\]\}}\n?'
 
 
 def token_array(obj: dict, key: str, line_no: int) -> InputTuple:
@@ -356,28 +369,32 @@ def token_array(obj: dict, key: str, line_no: int) -> InputTuple:
     return tuple(raw)
 
 
-def iter_io_lines(lines: Iterable[str]) -> Iterator[tuple[int, InputTuple, str]]:
-    """Yield (line_number, inputs, output) for each JSONL record of `lines`
-    (see _json_line) in trace and table files, any iterable of lines (a
-    file's through file_lines).
+def iter_io_lines(lines: Iterable[str], blanks: list[int]) -> Iterator[tuple[InputTuple, str]]:
+    """Yield (inputs, output) for each JSONL record of `lines` (see
+    _json_line) in trace and table files, any iterable of lines (a file's
+    through file_lines), and append the number of each blank line skipped
+    to `blanks`.
 
     Each record's shape and tokens are checked here, once, and every record
     must have the arity of the first; ParseError names the offending line.
-    A compact line after the first (see _IO_LINE) with the earlier arity is
-    split without a decode; every other line is decoded and goes through
-    the per-field checks, which build every error message.
+    The first record is decoded and sets the arity; after it, a compact line
+    of that arity (see _io_line) gives its tokens as the pattern's groups,
+    without a decode. Every other line is decoded and goes through the
+    per-field checks, which build every error message. Before the first
+    fault every non-blank line is a record, so record_line(blanks, pos) is
+    the file line of the record at position `pos`.
     """
-    match = re.compile(_IO_LINE).fullmatch
+    match = {}.get  # matches no line until the first record sets the arity
     arity: int | None = None
     for line_no, line in enumerate(lines, start=1):
         m = match(line)
         if m is not None:
-            inputs = tuple(m[1].split('","'))
-            if len(inputs) == arity:
-                yield line_no, inputs, m[2]
-                continue
+            tokens = m.groups()
+            yield tokens[:arity], tokens[arity]
+            continue
         obj = _json_line(line, line_no)
         if obj is _BLANK:
+            blanks.append(line_no)
             continue
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line=line_no)
@@ -392,42 +409,46 @@ def iter_io_lines(lines: Iterable[str]) -> Iterator[tuple[int, InputTuple, str]]
             raise ParseError(f'invalid "out" token: {output!r}', line=line_no)
         if arity is None:
             arity = len(inputs)
+            match = re.compile(_io_line(arity)).fullmatch
         elif len(inputs) != arity:
             raise ParseError(
                 f"arity {len(inputs)} differs from earlier arity {arity}",
                 line=line_no,
             )
-        yield line_no, inputs, output
+        yield inputs, output
+
+
+def record_line(blanks: list[int], pos: int) -> int:
+    """The file line of the record at position `pos`, counted from 0, of a
+    file whose blank lines before the first fault are `blanks`, ascending:
+    pos + 1 plus the number of blank lines before it."""
+    line = pos + 1
+    for blank in blanks:
+        if blank > line:
+            break
+        line += 1
+    return line
 
 
 def _conflict(
     inputs: InputTuple, output: str, pos: int, prior: tuple[str, int], line_of=None
 ) -> DeterminismViolation:
     """The DeterminismViolation for `inputs` giving `output` at position
-    `pos` after `prior`, its (output, first position). With `line_of`, the
-    file line of each position, the message names both file lines."""
+    `pos` after `prior`, its (output, first position). With `line_of`, which
+    gives the file line of a position, the message names both file lines."""
     if line_of is None:
         return DeterminismViolation(
             f"input {inputs} produced {output!r} at position {pos} "
             f"but {prior[0]!r} at position {prior[1]}",
             index=prior[1],
         )
+    line = line_of(pos)
     return DeterminismViolation(
-        f"line {line_of[pos]}: input {list(inputs)} produced {output!r} "
-        f"but {prior[0]!r} on line {line_of[prior[1]]}",
+        f"line {line}: input {list(inputs)} produced {output!r} "
+        f"but {prior[0]!r} on line {line_of(prior[1])}",
         index=prior[1],
-        line=line_of[pos],
+        line=line,
     )
-
-
-def io_records(lines: Iterable[str], line_of: array) -> Iterator[tuple[InputTuple, str]]:
-    """(inputs, output) for each record of a trace file's `lines` (see
-    iter_io_lines); the record's file line is appended to `line_of` before
-    it is yielded, so line_of[pos] is the line of trace position pos."""
-    append = line_of.append
-    for line_no, inputs, output in iter_io_lines(lines):
-        append(line_no)
-        yield inputs, output
 
 
 def _checked_event(inputs: InputTuple, output: str) -> Event:
@@ -441,13 +462,13 @@ def _checked_event(inputs: InputTuple, output: str) -> Event:
 def _read_trace(lines: Iterable[str]) -> Trace:
     first_seen: _FirstSeen = {}
     record = first_seen.setdefault
-    line_of = array("q")
+    blanks: list[int] = []
     pairs: list[tuple[InputTuple, str]] = []
-    for inputs, output in io_records(lines, line_of):
+    for inputs, output in iter_io_lines(lines, blanks):
         pos = len(pairs)
         prior = record(inputs, (output, pos))
         if prior[0] != output:
-            raise _conflict(inputs, output, pos, prior, line_of)
+            raise _conflict(inputs, output, pos, prior, partial(record_line, blanks))
         pairs.append((inputs, output))
     return Trace._from_checked(tuple(pairs), first_seen)
 

@@ -358,6 +358,21 @@ def ref_parse_trace(lines) -> Trace:
     return Trace(events)
 
 
+def ref_table_rows(lines) -> dict[tuple[str, ...], str]:
+    """A function table file's rows, or its first parse fault or duplicate
+    input with another output, which names both file lines."""
+    rows: dict[tuple[str, ...], tuple[str, int]] = {}  # input -> (output, first line)
+    for line_no, inputs, output in ref_io_records(lines):
+        prior = rows.setdefault(inputs, (output, line_no))
+        if prior[0] != output:
+            raise DeterminismViolation(
+                f"line {line_no}: duplicate input {list(inputs)} with output {output!r}, "
+                f"conflicting with line {prior[1]}",
+                line=line_no,
+            )
+    return {inputs: output for inputs, (output, _) in rows.items()}
+
+
 def ref_input_lines(lines) -> list[tuple[str, ...]]:
     inputs = []
     for line_no, obj in ref_json_lines(lines):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minimon import (
+    DeterminismViolation,
     InputDomain,
     MinimonError,
     Mode,
@@ -37,7 +38,9 @@ from minimon import (
 from minimon.cli import _MODES, cmd_check_trace, main
 from minimon.trace import parse_input_lines
 
-from helpers import mod_worker, ref_input_lines, ref_io_records, ref_minimiser
+from helpers import (
+    mod_worker, ref_input_lines, ref_io_records, ref_minimiser, ref_parse_trace, ref_table_rows,
+)
 
 TABLE1_TRACE = (
     '{"in":["5000"],"out":"true"}\n'
@@ -298,6 +301,61 @@ def test_streamed_check_trace_matches_parse_then_monitor(seed, mode, with_domain
         else:
             assert not isinstance(got, Exception), got
             assert (got[0].getvalue(), got[1]) == expected
+
+
+_BLANK_RUN = st.lists(st.sampled_from(["", " ", "\t"]), max_size=3)  # blank lines
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    arity=st.integers(1, 3),
+    mode=st.sampled_from(["mono", "sdist"]),
+    compact=st.booleans(),
+    data=st.data(),
+)
+def test_conflict_across_blank_lines_names_the_reference_lines(arity, mode, compact, data):
+    """With blank lines before, between and after two records that give one
+    input two outputs, check-trace's conflict names the lines and `index`
+    that ref_parse_trace names, and TableProgram.load's duplicate row the
+    lines that ref_table_rows names; also when the file is a pipe."""
+    inputs = st.tuples(*[st.sampled_from(["0", "1", "é"])] * arity)
+    first = data.draw(inputs)
+    middle = data.draw(st.lists(inputs.filter(lambda i: i != first), max_size=4))
+    records = [(first, "a"), *((i, "o" + "_".join(i)) for i in middle), (first, "b")]
+    separators = (",", ":") if compact else (", ", ": ")
+    lines = data.draw(_BLANK_RUN)
+    for key, output in records:
+        lines.append(json.dumps({"in": list(key), "out": output}, separators=separators))
+        lines += data.draw(_BLANK_RUN)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(DeterminismViolation) as ref:
+        ref_parse_trace(text.split("\n"))
+    with pytest.raises(DeterminismViolation) as ref_row:
+        ref_table_rows(text.split("\n"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        args = argparse.Namespace(trace=path, mode=mode, domain=None, json=False)
+        with pytest.raises(DeterminismViolation) as got, contextlib.redirect_stdout(io.StringIO()):
+            cmd_check_trace(args)
+        assert (str(got.value), got.value.line, got.value.index) == (
+            str(ref.value), ref.value.line, ref.value.index
+        )
+        with pytest.raises(DeterminismViolation) as got:
+            TableProgram.load(path)
+        assert (str(got.value), got.value.line) == (str(ref_row.value), ref_row.value.line)
+    piped = [
+        (["check-trace", "--trace", "/dev/stdin", "--mode", mode], ref.value),
+        (["oracle", "--table", "/dev/stdin", "--notion", "mono"], ref_row.value),
+    ]
+    for argv, expected in piped:
+        result = subprocess.run(
+            [sys.executable, "-m", "minimon", *argv], input=text.encode("utf-8"), capture_output=True
+        )
+        assert (result.returncode, result.stdout, result.stderr.decode("utf-8")) == (
+            3, b"", f"error: {expected}\n"
+        ), argv
 
 
 class TestMonitor:

@@ -176,6 +176,50 @@ def test_refused_input_is_recorded_nowhere(domain, bad, error, message):
     assert (mon.witness.index_a, mon.witness.index_b) == (0, 1)
 
 
+_MEMBER_TOKENS = ["-1", "0", "1", "2", "3", "05", "-0", "a", "é"]
+
+
+@st.composite
+def _domains(draw):
+    """A domain of 1-3 sources, each a set of tokens or an integer range."""
+    sources = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            sources.append({"set": draw(st.lists(st.sampled_from(_MEMBER_TOKENS), min_size=1, max_size=4))})
+        else:
+            lo = draw(st.integers(-1, 3))
+            sources.append({"range": [lo, draw(st.integers(lo, 3))]})
+    return InputDomain.from_dict({"sources": sources})
+
+
+@settings(max_examples=300, deadline=None)
+@given(domain=_domains(), mode=st.sampled_from(list(Mode)), data=st.data())
+def test_monitor_refuses_exactly_what_contains_refuses(domain, mode, data):
+    """A new input is refused as outside the domain iff
+    InputDomain.contains is False for it, over set-built and range-built
+    domains, and an input of another arity gets the arity message first,
+    whatever its tokens."""
+    arity = st.sampled_from([domain.arity] * 3 + [1, 2, 4])
+    stream = data.draw(st.lists(
+        arity.flatmap(lambda n: st.tuples(*[st.sampled_from(_MEMBER_TOKENS)] * n)), max_size=12
+    ))
+    mon = Monitor(MonitorConfig(mode, domain))
+    for inputs in stream:
+        pos = mon.events_seen
+        pair = (inputs, "o" + "_".join(inputs))
+        if len(inputs) != domain.arity:
+            message = f"event has arity {len(inputs)}, monitor expects {domain.arity}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                next(mon.steps([pair]))
+        elif not domain.contains(inputs):
+            with pytest.raises(InputOutsideDomain) as exc:
+                next(mon.steps([pair]))
+            assert exc.value.position == pos
+        else:
+            next(mon.steps([pair]))
+            assert mon.events_seen == pos + 1
+
+
 def _counted(name: str):
     def operation(self, *args):
         self.operations += 1
@@ -440,3 +484,30 @@ def test_true_is_stable_under_forced_extensions():
     assert mon.verdict is Verdict.TRUE
     for extension in domain.enumerate():
         assert mon.step(Event(extension, outputs[extension])) is Verdict.TRUE
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(list(Mode)),
+    fault=st.sampled_from([None, "arity", "outside"]),
+)
+def test_first_occurrences_is_the_naive_scan(seed, mode, fault):
+    """first_occurrences gives, for any first positions in any order, what
+    a scan of first_seen gives, also after inputs refused partway through
+    the stream, and KeyError for a position that is no first occurrence."""
+    rnd = random.Random(seed)
+    clean, domain, _, _ = _faulty_stream(rnd, None, True)
+    mon = Monitor(MonitorConfig(mode, domain))
+    bad = {"arity": (("0",) * (domain.arity + 1), "x"), "outside": (("w",) * domain.arity, "x")}
+    for pair in clean:
+        if fault is not None and rnd.random() < 0.3:
+            with pytest.raises((ValueError, InputOutsideDomain)):
+                next(mon.steps([bad[fault]]))
+        next(mon.steps([pair]))
+    naive = {pos: (inputs, output) for inputs, (output, pos) in mon.first_seen.items()}
+    positions = rnd.sample(sorted(naive), len(naive)) + rnd.choices(sorted(naive), k=2 if naive else 0)
+    assert mon.first_occurrences(positions) == [naive[pos] for pos in positions]
+    for pos in set(range(-1, len(clean) + 1)) - set(naive):
+        with pytest.raises(KeyError):
+            mon.first_occurrences([pos])

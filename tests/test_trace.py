@@ -35,7 +35,7 @@ from minimon import (
 )
 from minimon import minimiser as minimiser_module, programs, tester, trace as trace_module
 from minimon.programs import BuiltinProgram, save_table
-from minimon.trace import is_token, iter_io_lines, parse_input_lines
+from minimon.trace import is_token, iter_io_lines, parse_input_lines, record_line
 
 from helpers import (
     mono,
@@ -520,6 +520,14 @@ def _jsonl(draw, fields: dict[str, bool]) -> str:
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+def _io_lines(lines):
+    """iter_io_lines' records as ref_io_records gives them: (line, inputs,
+    output), each line from the blank lines that the reader skipped."""
+    blanks = []
+    records = list(iter_io_lines(lines, blanks))
+    return [(record_line(blanks, pos), *record) for pos, record in enumerate(records)]
+
+
 def _outcome(read):
     """What `read()` returns, or its error's class, message, line and index."""
     try:
@@ -538,7 +546,7 @@ def test_readers_match_reference_readers(io_text, inputs_text, table_text):
     """Every reader accepts what the per-line reference readers accept and
     raises their errors, at the first faulty line."""
     lines = list(io.StringIO(io_text, newline="\n"))
-    assert _outcome(lambda: list(iter_io_lines(lines))) == _outcome(lambda: list(ref_io_records(lines)))
+    assert _outcome(lambda: _io_lines(lines)) == _outcome(lambda: list(ref_io_records(lines)))
     assert _outcome(lambda: parse_trace(io_text)) == _outcome(lambda: ref_parse_trace(io_text.split("\n")))
     assert _outcome(lambda: parse_input_lines(inputs_text)) == _outcome(
         lambda: ref_input_lines(inputs_text.split("\n"))
@@ -587,7 +595,7 @@ def test_compact_lines_read_as_the_reference_reads_them(arity, data):
 
     io_text = text(lambda i, _, o: {"in": i, "out": o})
     lines = list(io.StringIO(io_text, newline="\n"))
-    assert _outcome(lambda: list(iter_io_lines(lines))) == _outcome(lambda: list(ref_io_records(lines)))
+    assert _outcome(lambda: _io_lines(lines)) == _outcome(lambda: list(ref_io_records(lines)))
     assert _outcome(lambda: parse_input_lines(io_text)) == _outcome(
         lambda: ref_input_lines(io_text.split("\n"))
     )
@@ -666,7 +674,7 @@ def test_compact_lines_after_the_first_are_not_decoded(monkeypatch, tmp_path):
         json.dumps({"in": list(i), "out": o}, separators=(",", ":"), ensure_ascii=False) + "\n\n"
         for i, o in rows
     )
-    assert list(iter_io_lines(text.splitlines(keepends=True))) == [
+    assert _io_lines(text.splitlines(keepends=True)) == [
         (1, ("1", "é"), "😀"), (3, ("2", "a\x7fb"), "x"), (5, ("3", "c"), "y"),
     ]
     assert decoded == [1, 2, 4, 6]  # the first record and the blank lines
