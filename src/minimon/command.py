@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import ProgramFailure
 from .programs import Program
-from .trace import InputTuple, is_token
+from .trace import InputTuple
 
 # An exec: program's stream keeps at most this many requests in flight, in at
 # most this many bytes of request text: Linux's smallest pipe capacity, so
@@ -139,7 +139,7 @@ class CommandProgram(Program):
                 f"{self.name!r}: reply is not valid UTF-8: {raw!r}",
                 stderr=self._stderr_excerpt(),
             ) from exc
-        if not is_token(token):
+        if token.split() != [token]:  # is_token() of a str
             raise ProgramFailure(
                 f"{self.name!r}: malformed reply (expected one output token): {token!r}",
                 stderr=self._stderr_excerpt(),
@@ -157,6 +157,7 @@ class CommandProgram(Program):
         inputs before it are consumed. Replies the consumer leaves unread
         are discarded by the next request or by close()."""
         order = iter(order)
+        record, arity = self._record, self.arity
         owner = object()
         carry: list[InputTuple] = []  # the input that overflowed the last window
         while True:
@@ -168,8 +169,15 @@ class CommandProgram(Program):
             while len(requests) < _WINDOW:
                 try:
                     inputs = carry.pop() if carry else next(order)
-                    hit = self._memo_has(inputs, asked)
-                    if not hit:
+                    try:  # as in Program.pairs: a hit, or the one-expression check
+                        hit = inputs in record or inputs in asked
+                        valid = hit or (
+                            inputs.__class__ is tuple and len(inputs) == arity
+                            and " ".join(inputs).split() == list(inputs)
+                        )
+                    except TypeError:
+                        hit = valid = False
+                    if not valid:
                         self._check_inputs(inputs)
                 except Exception as exc:  # StopIteration too: the end of `order`
                     stop = exc
@@ -187,12 +195,12 @@ class CommandProgram(Program):
                 window.append((inputs, True))
             for inputs, sent in window:
                 if not sent:
-                    yield inputs, self._record[inputs]
+                    yield inputs, record[inputs]
                     continue
                 if requests:
                     self._send(requests, owner)
                     requests = []
-                out = self._record[inputs] = self._receive(owner)
+                out = record[inputs] = self._receive(owner)
                 yield inputs, out
             if isinstance(stop, StopIteration):
                 return

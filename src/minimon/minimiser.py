@@ -21,7 +21,7 @@ from .errors import BudgetExceeded, InputOutsideDomain, ParseError
 from .probes import check_arity, check_budget, stream
 from .programs import Program
 from .trace import (
-    _BLANK, InputDomain, InputTuple, _Frozen, _json_line, _json_tokens, _pre_line, _Record,
+    _BLANK, InputDomain, InputTuple, _Frozen, _json_line, _jsonl_rows, _pre_line, _Record, _slots,
     file_lines, token_array,
 )
 
@@ -248,13 +248,15 @@ def compose(program: Program, table: MinimiserTable) -> ComposedProgram:
     return ComposedProgram(program, table)
 
 
+def _pre_template(n_from: int, n_to: int) -> str:
+    return '{"from":' + _slots(n_from) + ',"to":' + _slots(n_to) + "}\n"
+
+
 def save_minimiser(table: MinimiserTable, path: str) -> None:
-    """Write a table as the JSONL lines json.dumps writes (inverse of load_minimiser)."""
+    """Write a table as the JSONL lines json.dumps writes (inverse of
+    load_minimiser), one escaping pass per chunk of rows (see trace._jsonl_rows)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            '{"from":' + _json_tokens(src) + ',"to":' + _json_tokens(dst) + "}\n"
-            for src, dst in table.mapping.items()
-        )
+        fh.writelines(_jsonl_rows(table.mapping.items(), _pre_template))
 
 
 def load_minimiser(path: str) -> MinimiserTable:

@@ -10,7 +10,6 @@ the programs that run it.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     UnknownBuiltin,
 )
 from .trace import (
-    Event, InputDomain, InputTuple, _checked_event, _io_row, check_input_tuple, file_lines,
+    Event, InputDomain, InputTuple, _checked_event, _io_rows, check_input_tuple, file_lines,
     is_token, iter_io_lines, record_line,
 )
 
@@ -42,14 +41,6 @@ class Program:
         [(_, output)] = self.pairs((inputs,))
         return output
 
-    def _memo_has(self, inputs: InputTuple, asked: set[InputTuple] | tuple = ()) -> bool:
-        """True iff the memo serves `inputs`: recorded or in `asked`, it passed
-        _check_inputs() then, so a hit is not checked again."""
-        try:
-            return inputs in self._record or inputs in asked
-        except TypeError:
-            return False
-
     def _check_inputs(self, inputs: InputTuple) -> None:
         """ValueError unless `inputs` is a tuple of `arity` value tokens."""
         check_input_tuple(inputs)
@@ -68,18 +59,32 @@ class Program:
         """(observed inputs, output) for each input of `order`, yielded in
         order: what observe() gives, without the Event.
 
+        A memo hit is not checked again. A new input is checked by one
+        expression (trace._all_tokens' rule, on an exact tuple), and what it
+        refuses by _check_inputs(), which accepts it or raises; an output
+        likewise, with is_token().
+
         A handle may send inputs ahead of the consumer. It still gives what
         one one-input stream per input gives, each error included, at the
         same input; a consumer may stop at any point."""
-        memo_has, check, call = self._memo_has, self._check_inputs, self._call
-        record, name = self._record, self.name
+        check, call = self._check_inputs, self._call
+        record, name, arity = self._record, self.name, self.arity
         for inputs in order:
-            if memo_has(inputs):
+            try:
+                hit = inputs in record
+                valid = hit or (
+                    inputs.__class__ is tuple and len(inputs) == arity
+                    and " ".join(inputs).split() == list(inputs)
+                )
+            except TypeError:  # unhashable, or an item that is no str
+                hit = valid = False
+            if hit:
                 yield inputs, record[inputs]
                 continue
-            check(inputs)
+            if not valid:
+                check(inputs)
             out = call(inputs)
-            if not is_token(out):
+            if not (out.__class__ is str and out.split() == [out]) and not is_token(out):
                 raise ProgramFailure(f"program {name!r} produced an invalid output token: {out!r}")
             record[inputs] = out
             yield inputs, out
@@ -176,6 +181,8 @@ class TableProgram(Program):
 
 
 def save_table(mapping: dict[InputTuple, str], path: str) -> None:
-    """Write a function table as JSONL rows (inverse of TableProgram.load)."""
+    """Write a function table as the JSONL rows json.dumps writes (inverse
+    of TableProgram.load), one escaping pass per chunk of rows (see
+    trace._jsonl_rows)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(itertools.starmap(_io_row, mapping.items()))
+        fh.writelines(_io_rows(mapping.items()))

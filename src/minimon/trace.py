@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import partial
 from io import TextIOBase
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DeterminismViolation, ParseError
 
@@ -487,19 +487,59 @@ def load_trace(path: str) -> Trace:
         return _read_trace(file_lines(fh))
 
 
-def _json_tokens(tokens: Iterable[str]) -> str:
-    """`tokens` as the JSON array json.dumps writes with separators (",", ":")."""
-    return "[" + ",".join(map(_json_str, tokens)) + "]"
+_PASS_ROWS = 1024  # rows that _jsonl_rows escapes in one pass
 
 
-def _io_row(inputs: InputTuple, output: str) -> str:
-    """A trace event or table row as the JSONL line json.dumps writes for it."""
-    return '{"in":' + _json_tokens(inputs) + ',"out":' + _json_str(output) + "}\n"
+def _jsonl_rows(rows: Iterable[tuple], template: Callable[..., str]) -> Iterator[str]:
+    """The JSONL lines json.dumps writes for `rows`, each a tuple of token
+    sequences: template(*lengths), which has one "%s" per token, filled with
+    the tokens' escaped text. One pass of the C escaper serves a chunk of rows.
+
+    A chunk's tokens are joined with spaces, escaped as one string and split
+    at the spaces again: JSON escapes no space and writes none. Its text is
+    the first row's template once per row, filled by one `%`. A chunk with a
+    token that holds a space, a value that is no `str`, or a row of other
+    lengths is written row by row, each token escaped on its own, so the
+    text, an error and the text written before it are as row by row."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _PASS_ROWS)):
+        text = None
+        try:
+            lengths = [*map(len, chunk[0])]
+            parts = [*itertools.chain.from_iterable(chunk)]
+            if [*map(len, parts)] == lengths * len(chunk):
+                joined = " ".join(itertools.chain.from_iterable(parts))
+                pieces = _json_str(joined)[1:-1].split(" ")
+                if len(pieces) == sum(lengths) * len(chunk):
+                    text = template(*lengths) * len(chunk) % tuple(pieces)
+        except TypeError:
+            pass
+        if text is not None:
+            yield text
+            continue
+        for row in chunk:
+            escaped = [[_json_str(token)[1:-1] for token in part] for part in row]
+            yield template(*map(len, escaped)) % tuple(itertools.chain.from_iterable(escaped))
+
+
+def _slots(n: int) -> str:
+    """A JSON array of `n` strings, each a "%s"."""
+    return "[" + ",".join(['"%s"'] * n) + "]"
+
+
+def _io_template(n_in: int, _n_out: int) -> str:
+    return '{"in":' + _slots(n_in) + ',"out":"%s"}\n'
+
+
+def _io_rows(pairs: Collection[tuple[InputTuple, str]]) -> Iterator[str]:
+    """The JSONL lines of (inputs, output) pairs: a trace or a function table."""
+    rows = zip(map(itemgetter(0), pairs), zip(map(itemgetter(1), pairs)))
+    return _jsonl_rows(rows, _io_template)
 
 
 def serialize_trace(trace: Trace) -> str:
     """Inverse of parse_trace (round-trip identity), one event per line."""
-    return "".join(itertools.starmap(_io_row, trace._pairs))
+    return "".join(_io_rows(trace._pairs))
 
 
 def parse_input_lines(text: str) -> list[InputTuple]:

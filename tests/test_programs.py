@@ -35,7 +35,7 @@ from minimon.command import CommandProgram
 from minimon.programs import BuiltinProgram, save_table
 from minimon.tester import LEXICOGRAPHIC
 
-from helpers import mod_worker, outputs
+from helpers import mod_worker, outputs, ref_is_token
 
 BENEFITS_REFERENCE = {
     ("0",): "true",
@@ -739,16 +739,106 @@ def test_bad_input_fails_as_ever_after_a_memo_hit(kind, bad, message):
         assert (type(error), str(error)) == (ValueError, expected)
 
 
+class _Counted(tuple):
+    """A tuple that counts the calls of its __iter__ and __len__, which a
+    check of it and a program's call on it make, and a memo lookup does
+    not. Being no exact tuple, it is checked by Program._check_inputs()."""
+
+    calls = 0
+
+    def __iter__(self):
+        self.calls += 1
+        return super().__iter__()
+
+    def __len__(self):
+        self.calls += 1
+        return super().__len__()
+
+
 @_MEMO_KINDS
-def test_each_distinct_input_is_checked_once(monkeypatch, kind):
-    """A memo hit (also on an input still in flight) is not checked again."""
-    checked = []
-    check = programs.check_input_tuple
-    monkeypatch.setattr(programs, "check_input_tuple", lambda i: checked.append(i) or check(i))
-    order = [("1", "2"), ("3", "4"), ("1", "2"), ("1", "2"), ("3", "4")]
+def test_each_distinct_input_is_checked_once(kind):
+    """A memo hit (also on an input still in flight) is not checked again,
+    and a new input is checked once: it is handled as often as in a
+    one-input stream, and a repeat is never handled."""
+    order = [_Counted(i) for i in [("1", "2"), ("3", "4"), ("1", "2"), ("1", "2"), ("3", "4")]]
     with _o2(kind) as program:
-        assert list(outputs(program, order)) == [program.evaluate(i) for i in order]
-    assert checked == order[:2]
+        assert list(outputs(program, order)) == ["o12", "o34", "o12", "o12", "o34"]
+    alone = _Counted(("1", "2"))
+    with _o2(kind) as program:
+        assert program.evaluate(alone) == "o12"
+    assert alone.calls > 0
+    assert [i.calls for i in order] == [alone.calls] * 2 + [0] * 3
+
+
+class _Str(str):
+    pass
+
+
+# A worker that replies "o1" to the request "1" and the bytes of argv[1],
+# given in hex, to every other request.
+_REPLY_WORKER = """\
+import sys
+reply = bytes.fromhex(sys.argv[1])
+for line in sys.stdin.buffer:
+    sys.stdout.buffer.write((b"o1" if line == b"1\\n" else reply) + b"\\n")
+    sys.stdout.buffer.flush()
+"""
+
+# Values that the one-expression checks in pairs() must judge as is_token
+# does: tokens, str subclasses, the empty string, whitespace ("\x1c" is
+# whitespace to str.split), and values that are no str.
+_VALUES = ["2", _Str("2"), "", " ", "\x1c", "a b", "\x85", 2, None, ["2"]]
+# Inputs of a program of arity 1: good ones, then one of each way to be bad.
+_INPUTS = [
+    ("2",), (_Str("2"),), _Counted(("2",)),
+    ("",), (" ",), ("\x1c",), ("\x85",), ("a b",), (2,), (None,), (["2"],),
+    _Counted(("\x1c",)), ["2"], ("2", "2"), (),
+]
+_REPLIES = ["o2", "", " ", "\x1c", "a b", "\x85", "o\u00e9"]
+
+
+def _reply_program(kind: str, out):
+    """A program of arity 1 that maps ("1",) to "o1" and every other input to `out`."""
+    if kind == "builtin":
+        return BuiltinProgram("b", 1, lambda i: "o1" if i == ("1",) else out)
+    if kind == "table":
+        return programs.TableProgram({("1",): "o1", ("2",): out})
+    argv = [sys.executable, "-S", "-c", _REPLY_WORKER, out.encode("utf-8").hex()]
+    return CommandProgram(argv, arity=1)
+
+
+@pytest.mark.parametrize("kind", ["builtin", "table", "exec"])
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.sampled_from(_INPUTS) | st.builds(
+        lambda container, values: container(values),
+        st.sampled_from([tuple, _Counted, list]),
+        st.lists(st.sampled_from(_VALUES), max_size=2),
+    ),
+    out=st.sampled_from(_VALUES + _REPLIES),
+)
+def test_stream_fails_at_a_bad_input_or_output_as_evaluate_does(kind, x, out):
+    """pairs([good, x, good]) yields what evaluate(x) returns between the two
+    good pairs, or yields the first and raises what evaluate(x) raises; and
+    that is what the reference token test says: the one-expression checks
+    of inputs and outputs judge as the full checks do."""
+    if kind == "exec" and out.__class__ is not str:
+        out = "o2"  # a reply is always text
+    if not (isinstance(x, tuple) and len(x) == 1 and all(map(ref_is_token, x))):
+        fails = ValueError
+    elif kind == "table" and x != ("2",):
+        fails = InputOutsideDomain
+    else:
+        fails = None if ref_is_token(out) else ProgramFailure
+    with _reply_program(kind, out) as program:
+        try:
+            expected = [(("1",), "o1"), (x, program.evaluate(x)), (("1",), "o1")], None
+        except Exception as exc:
+            expected = [(("1",), "o1")], (type(exc), str(exc))
+    with _reply_program(kind, out) as program:
+        got, error = _pull(program.pairs([("1",), x, ("1",)]))
+    assert (got, error and (type(error), str(error))) == expected
+    assert type(error) is (fails or type(None))
 
 
 def _o1():

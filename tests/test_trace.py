@@ -448,6 +448,7 @@ _ODD_VALUES = [
     _Raw('"a\\u0020b"'), _Raw('"\\u00a0"'), _Raw('"b\\u0085"'), _Raw('"\\u2028x"'),
     _Raw('"\\u0031"'),
 ]
+_BLANK_LINES = ["", "  ", "\t"]  # drawn between records, apart from the faults
 _WHOLE_LINES = ["", "  ", "\x0b", "\t", "not json", "null", "[1]", '"s"', "{", "{}", "1 2"]
 _PREFIXES = ["\ufeff", " ", "\t", "\x0b"]
 _SUFFIXES = [" ", "\r", "\t", " x", "\x0b", ",", "}"]
@@ -469,10 +470,11 @@ def _dump(value, ensure_ascii: bool) -> str:
 def _jsonl(draw, fields: dict[str, bool]) -> str:
     """A JSONL text of records with `fields` (name -> holds an array, else
     one token): mostly valid, some lines with one fault or an unusual but
-    valid spelling."""
+    valid spelling, and blank lines between them."""
     arity = draw(st.integers(1, 3))
     lines = []
     for _ in range(draw(st.integers(0, 8))):
+        lines += draw(st.lists(st.sampled_from(_BLANK_LINES), max_size=2))
         pairs = [
             (key, [draw(st.sampled_from(_TOKENS)) for _ in range(arity)] if is_array
              else draw(st.sampled_from(_TOKENS)))
@@ -705,7 +707,7 @@ def test_lone_surrogate_is_accepted_as_a_token(spelling):
 
 # Characters that JSON escapes (quote, backslash, controls), that it may
 # escape (slash, DEL), non-ASCII in and beyond the BMP, and whitespace.
-_WRITER_ALPHABET = ['"', "\\", "/", "\x01", "\x7f", "é", " ", "😀", "a", "B", "z"]
+_WRITER_ALPHABET = ['"', "\\", "/", "\x01", "\x7f", "é", " ", "😀", "a", "B", "z", "%"]
 
 
 def _dumps_lines(rows) -> str:
@@ -748,3 +750,87 @@ def test_writers_write_what_json_dumps_writes(arity, data, tokens_only):
             trace = Trace(Event(inputs, out) for inputs, out in fn.items())
             assert serialize_trace(trace) == rows
             assert parse_trace(rows) == trace
+
+
+_PASS = trace_module._PASS_ROWS  # rows the writers escape in one pass
+
+
+def _escaped(n: int) -> str:
+    """A value token with every kind of character the writers escape, and "%"."""
+    return f'{n}"\\/\x01\x7fé😀%s'
+
+
+def _raw_rows(odd: dict[int, tuple]) -> list[tuple]:
+    """2.5 passes of (key, value) rows of escape-heavy tokens, arity 2 to 2,
+    with the rows of `odd` (position -> row) in place of those there."""
+    rows = [
+        ((_escaped(k), _escaped(-k)), (_escaped(k - k % 3), _escaped(1)))
+        for k in range(2 * _PASS + _PASS // 2)
+    ]
+    for at, row in odd.items():
+        rows[at] = row
+    return rows
+
+
+def test_writers_write_what_json_dumps_writes_across_passes(tmp_path):
+    """Over more rows than one escaping pass takes, where the later passes
+    also hold rows only a raw table holds (a token with a space, rows of
+    another arity), each writer writes what json.dumps writes."""
+    path = str(tmp_path / "rows.jsonl")
+    pre = dict(_raw_rows({
+        _PASS + 3: (("a b", "1"), ("1", "2")),
+        _PASS + 9: (("1", "2", "3"), ("1",)),
+        2 * _PASS + 9: (("4", "5", "6"), ("1",)),  # as many tokens as a row of arity 2
+    }))
+    save_minimiser(MinimiserTable(pre, 2), path)
+    with open(path, "rb") as fh:
+        assert fh.read() == _dumps_lines(
+            {"from": list(src), "to": list(dst)} for src, dst in pre.items()
+        ).encode("utf-8")
+    fn = {key: out[0] for key, out in _raw_rows({
+        _PASS + 3: (("1", "2"), ("o p",)),
+        _PASS + 5: (("a b", "2"), ("o",)),
+        _PASS + 9: (("1",), ("o",)),
+        2 * _PASS + 3: (("4",), ("o",)),  # with the next, as many tokens as two rows of arity 2
+        2 * _PASS + 9: (("4", "5", "6"), ("o",)),
+    })}
+    save_table(fn, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == _dumps_lines(
+            {"in": list(inputs), "out": out} for inputs, out in fn.items()
+        ).encode("utf-8")
+    fn = {key: out[0] for key, out in _raw_rows({})}
+    trace = Trace(Event(inputs, out) for inputs, out in fn.items())
+    assert serialize_trace(trace) == _dumps_lines(
+        {"in": list(inputs), "out": out} for inputs, out in fn.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "writer, row, message",
+    [
+        ("minimiser", (("1", 5), ("1", "2")), "first argument must be a string, not int"),
+        ("minimiser", (5, ("1", "2")), "'int' object is not iterable"),
+        ("table", (("1", "2"), (None,)), "first argument must be a string, not NoneType"),
+        ("table", ((b"1", "2"), ("o",)), "first argument must be a string, not bytes"),
+    ],
+)
+def test_writers_raise_at_a_value_that_is_no_str_after_the_rows_before_it(
+    tmp_path, writer, row, message
+):
+    """A raw table's value that is no str raises the escaper's TypeError at
+    its row, in the middle of a pass, after every row before it is written."""
+    path = str(tmp_path / "rows.jsonl")
+    at = _PASS + 5
+    rows = _raw_rows({at: row})
+    if writer == "minimiser":
+        save, table = save_minimiser, MinimiserTable(dict(rows), 2)
+        lines = ({"from": list(src), "to": list(dst)} for src, dst in rows[:at])
+    else:
+        save, table = save_table, {key: out[0] for key, out in rows}
+        lines = ({"in": list(inputs), "out": out[0]} for inputs, out in rows[:at])
+    with pytest.raises(TypeError) as exc:
+        save(table, path)
+    assert str(exc.value) == message
+    with open(path, "rb") as fh:
+        assert fh.read() == _dumps_lines(lines).encode("utf-8")
