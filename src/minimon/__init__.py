@@ -38,7 +38,7 @@ _ORIGIN = {
     "Trace": "trace",
     "UnknownBuiltin": "errors",
     "ValidationReport": "minimiser",
-    "Verdict": "monitor",
+    "Verdict": "properties",
     "Witness": "properties",
     "compose": "minimiser",
     "find_witness": "properties",

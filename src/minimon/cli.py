@@ -135,7 +135,10 @@ def cmd_check_trace(args) -> int:
     # The trace is streamed: the reader checks each record once and notes
     # only the blank lines it skips, and the monitor's record is the
     # determinism record, so a conflict names both file lines.
-    from .monitor import Monitor, MonitorConfig, Verdict
+    from operator import countOf
+
+    from .monitor import Monitor, MonitorConfig
+    from .properties import Verdict
 
     mode = _mode(args)
     with open(args.trace, "r", encoding="utf-8") as fh:
@@ -143,18 +146,19 @@ def cmd_check_trace(args) -> int:
         monitor = Monitor(MonitorConfig(mode, domain))
         blanks: list[int] = []
         records = iter_io_lines(file_lines(fh), blanks)
-        verdicts = list(monitor.steps(records, partial(record_line, blanks)))
+        unknown = countOf(monitor.steps(records, partial(record_line, blanks)), Verdict.UNKNOWN)
     final = monitor.verdict
     witness = monitor.witness
     if args.json:
+        events = monitor.events_seen
         print(json.dumps({
             "command": "check-trace",
             "mode": mode.value,
-            "events": len(verdicts),
+            "events": events,
             "verdict": final.value,
             "witness": witness.to_dict() if witness else None,
-            # Verdict.value is a descriptor lookup; a dict gives each step's text.
-            "prefix_verdicts": list(map({v: v.value for v in Verdict}.__getitem__, verdicts)),
+            # Verdicts latch: UNKNOWN until the step where the verdict concluded.
+            "prefix_verdicts": ["UNKNOWN"] * unknown + [final.value] * (events - unknown),
         }))
     else:
         print(final.value)
@@ -188,7 +192,8 @@ def _write_lines(out, lines: list[str]) -> None:
 
 
 def cmd_monitor(args) -> int:
-    from .monitor import Monitor, MonitorConfig, Verdict
+    from .monitor import Monitor, MonitorConfig
+    from .properties import Verdict
 
     domain = load_domain(args.domain) if args.domain else None
     if args.inputs is not None:

@@ -152,10 +152,10 @@ class CommandProgram(Program):
         request, and each reply is read when the consumer reaches its input.
 
         A memo hit sends nothing, also on an input whose request is still in
-        flight. An input that fails its check, or an error raised while
-        pulling it from `order`, ends the window and is raised once the
-        inputs before it are consumed. Replies the consumer leaves unread
-        are discarded by the next request or by close()."""
+        flight. An input that fails its check or cannot be encoded, or an
+        error raised while pulling it from `order`, ends the window and is
+        raised once the inputs before it are consumed. Replies the consumer
+        leaves unread are discarded by the next request or by close()."""
         order = iter(order)
         record, arity = self._record, self.arity
         owner = object()
@@ -179,13 +179,13 @@ class CommandProgram(Program):
                         hit = valid = False
                     if not valid:
                         self._check_inputs(inputs)
+                    if hit:
+                        window.append((inputs, False))
+                        continue
+                    line = ("\t".join(inputs) + "\n").encode("utf-8")
                 except Exception as exc:  # StopIteration too: the end of `order`
                     stop = exc
                     break
-                if hit:
-                    window.append((inputs, False))
-                    continue
-                line = ("\t".join(inputs) + "\n").encode("utf-8")
                 if requests and size + len(line) > _WINDOW_BYTES:
                     carry.append(inputs)
                     break

@@ -172,55 +172,43 @@ def validate_preprocessor(
             )
     outputs = {inputs: out for inputs, (_, out) in zip(order, stream(program, order))}
     failures: list[ValidationFailure] = []
-    pre_ok = True
-    flagged_targets: set[InputTuple] = set()
-    reps_in_order: list[InputTuple] = []
-    reps_seen: set[InputTuple] = set()
+    targets: dict[InputTuple, None] = {}  # each target once, in first-seen order
     for inputs in order:
         target = mapping[inputs]
-        if target not in outputs:
-            if target not in flagged_targets:
-                flagged_targets.add(target)
+        if target not in targets:
+            targets[target] = None
+            if target not in outputs:
                 failures.append(ValidationFailure(
                     "target-outside-domain",
                     (inputs, target),
                     f"{inputs} maps to {target}, which is outside the domain",
                 ))
-            pre_ok = False
-            continue
-        if target not in reps_seen:
-            reps_seen.add(target)
-            reps_in_order.append(target)
-            retarget = mapping.get(target)
-            if retarget != target:
+            elif mapping[target] != target:
                 failures.append(ValidationFailure(
                     "not-idempotent",
                     (inputs, target),
-                    f"{inputs} maps to {target}, which maps on to {retarget}",
+                    f"{inputs} maps to {target}, which maps on to {mapping[target]}",
                 ))
-                pre_ok = False
-        if outputs[target] != outputs[inputs]:
+        if target in outputs and outputs[target] != outputs[inputs]:
             failures.append(ValidationFailure(
                 "changes-output",
                 (inputs, target),
                 f"program({inputs}) != program({target}) so the table changes behaviour",
             ))
-            pre_ok = False
-
-    injective = True
+    pre_ok = not failures
+    reps = [target for target in targets if target in outputs]
     index = CollisionIndex(Mode.MONOLITHIC)
-    for pos, rep in enumerate(reps_in_order):
+    for pos, rep in enumerate(reps):
         out = outputs[rep]
         hit = index.add(rep, out, pos)
         if hit is not None:
-            prior = reps_in_order[hit[0]]
+            prior = reps[hit[0]]
             failures.append(ValidationFailure(
                 "representatives-collide",
                 (prior, rep),
                 f"representatives {prior} and {rep} share output {out!r}",
             ))
-            injective = False
-    return ValidationReport(pre_ok, pre_ok and injective, failures)
+    return ValidationReport(pre_ok, not failures, failures)
 
 
 class ComposedProgram(Program):

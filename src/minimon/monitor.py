@@ -11,24 +11,10 @@ satisfaction cannot be broken by deterministic repeats.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from enum import Enum
 
 from .errors import InputOutsideDomain
-from .properties import CollisionIndex, Mode, Witness
+from .properties import CollisionIndex, Mode, Verdict, Witness
 from .trace import Event, InputDomain, InputTuple, Trace, _conflict, _FirstSeen, _Frozen
-
-
-class Verdict(Enum):
-    TRUE = "TRUE"
-    FALSE = "FALSE"
-    UNKNOWN = "UNKNOWN"
-
-    @property
-    def conclusive(self) -> bool:
-        return self is not Verdict.UNKNOWN
-
-    def __str__(self) -> str:
-        return self.value
 
 
 _UNKNOWN = Verdict.UNKNOWN

@@ -60,9 +60,9 @@ class Program:
         order: what observe() gives, without the Event.
 
         A memo hit is not checked again. A new input is checked by one
-        expression (trace._all_tokens' rule, on an exact tuple), and what it
-        refuses by _check_inputs(), which accepts it or raises; an output
-        likewise, with is_token().
+        expression (is_token's rule for each item, on an exact tuple), and
+        what it refuses by _check_inputs(), which accepts it or raises; an
+        output likewise, with is_token().
 
         A handle may send inputs ahead of the consumer. It still gives what
         one one-input stream per input gives, each error included, at the
@@ -108,10 +108,7 @@ class Program:
 class BuiltinProgram(Program):
     def __init__(self, name: str, arity: int, fn: Callable[[InputTuple], str]):
         super().__init__(arity, name)
-        self._fn = fn
-
-    def _call(self, inputs: InputTuple) -> str:
-        return self._fn(inputs)
+        self._call = fn
 
 
 def make_builtin(name: str) -> Program:

@@ -1,4 +1,4 @@
-"""Trace-level minimality predicates and witness extraction.
+"""Trace-level minimality predicates, witness extraction, and `Verdict`.
 
 Monolithic minimality asks that distinct inputs never share an output;
 strong distributed minimality restricts the same demand to input pairs that
@@ -17,6 +17,19 @@ from .trace import InputTuple, Trace, _Frozen
 class Mode(Enum):
     MONOLITHIC = "monolithic"
     STRONG_DISTRIBUTED = "strong-distributed"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class Verdict(Enum):
+    TRUE = "TRUE"
+    FALSE = "FALSE"
+    UNKNOWN = "UNKNOWN"
+
+    @property
+    def conclusive(self) -> bool:
+        return self is not Verdict.UNKNOWN
 
     def __str__(self) -> str:
         return self.value

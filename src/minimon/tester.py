@@ -6,10 +6,10 @@ permutation by default, stepping a monitor on every observation. A conclusive
 verdict is guaranteed within domain.size probes: a violation stops early,
 otherwise full coverage forces TRUE on the last probe.
 
-The monitor and the properties are imported here, not where they run:
-`TestReport` and `run_test` annotate with their `Verdict`, `Witness` and
-`Mode`, which `typing.get_type_hints` looks up in this module. `random` is
-imported by the function that shuffles, so that `oracle` does not load it.
+The properties are imported here, not where they run: `TestReport` and
+`run_test` annotate with their `Verdict`, `Witness` and `Mode`, which
+`typing.get_type_hints` looks up in this module. The monitor and `random`
+are imported by `run_test`, which runs them, so that `oracle` loads neither.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import DomainMismatch
-from .monitor import Monitor, MonitorConfig, Verdict
 from .probes import check_arity, check_budget, stream
-from .properties import Mode, Witness, least_collision
+from .properties import Mode, Verdict, Witness, least_collision
 from .trace import InputDomain, InputTuple, Trace, _Frozen, _Record
 
 RANDOM_PERMUTATION = "random-permutation"
@@ -165,6 +164,8 @@ def run_test(
         import random
 
         random.Random(seed).shuffle(order)
+    from .monitor import Monitor, MonitorConfig
+
     monitor = Monitor(MonitorConfig(mode, domain))
     # `observed` keeps each pair the monitor steps, for the report's trace.
     observed, stepped = itertools.tee(stream(program, order))
@@ -175,7 +176,7 @@ def run_test(
                 verdict,
                 monitor.witness,
                 len(pairs),
-                Trace._from_checked(pairs, dict(monitor.first_seen)),  # no second scan
+                Trace._from_checked(pairs, monitor.first_seen),  # no second scan
                 strategy,
                 seed if strategy == RANDOM_PERMUTATION else None,
             )

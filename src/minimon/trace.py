@@ -32,16 +32,6 @@ def is_token(value: object) -> bool:
     return isinstance(value, str) and value != "" and value.split() == [value]
 
 
-def _all_tokens(values: list) -> bool:
-    """True iff every item of `values` is a value token, in one C-level pass:
-    the same rule as is_token, since str.split breaks at exactly the
-    characters isspace accepts. True for an empty list."""
-    try:
-        return " ".join(values).split() == values
-    except TypeError:
-        return False
-
-
 def check_token(value: object) -> str:
     if not is_token(value):
         raise ValueError(f"not a valid value token: {value!r}")
@@ -52,9 +42,8 @@ def check_input_tuple(coords: object) -> InputTuple:
     """Validate an input event: a non-empty tuple of value tokens."""
     if not isinstance(coords, tuple) or len(coords) == 0:
         raise ValueError(f"input event must be a non-empty tuple, got {coords!r}")
-    if not _all_tokens(list(coords)):
-        for c in coords:
-            check_token(c)
+    for c in coords:
+        check_token(c)
     return coords
 
 

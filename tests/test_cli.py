@@ -128,6 +128,29 @@ class TestCheckTrace:
             "prefix_verdicts": ["UNKNOWN", "UNKNOWN", "FALSE", "FALSE", "FALSE"],
         }
 
+    def test_peak_memory_does_not_grow_with_the_events(self, tmp_path, capsys):
+        """Without --json, check-trace keeps no line number or verdict per
+        event: its traced peak on 200,000 events over 100 inputs is within
+        0.5 MiB of its peak on 20,000."""
+        import tracemalloc
+
+        lines = "".join(f'{{"in":["{n}"],"out":"o{n}"}}\n' for n in range(100))
+        paths = []
+        for events in (20_000, 200_000):
+            paths.append(tmp_path / f"{events}.jsonl")
+            paths[-1].write_text(lines * (events // 100))
+        main(["check-trace", "--trace", str(paths[0]), "--mode", "mono"])  # imports, not traced
+        peaks = []
+        for path in paths:
+            tracemalloc.start()
+            try:
+                assert main(["check-trace", "--trace", str(path), "--mode", "mono"]) == 2
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr().out == "UNKNOWN\n" * 3
+        assert peaks[1] - peaks[0] <= 2**19, peaks
+
     def test_two_source_trace_strong_dist(self, files):
         trace = files("t2.jsonl", TABLE2_TRACE)
         result = run_cli("check-trace", "--trace", trace, "--mode", "sdist")
@@ -492,6 +515,22 @@ class TestMonitor:
         assert result.stdout.splitlines() == [f"{n}\t{n - 1}\tr{n - 1}\tUNKNOWN" for n in range(1, 100)]
         assert result.stderr == (
             f"error: {' '.join(argv)!r}: process exited with code 0 before replying\n"
+        )
+
+    def test_an_output_stdout_cannot_encode_ends_after_the_steps_before_it(self, files):
+        """A step line that stdout's encoding cannot encode need not hold a
+        lone surrogate: with an ASCII stdout, the batch is written line by
+        line, so step 1 is written, then the encoder's error, exit 3."""
+        table = files("t.jsonl", '{"in":["1"],"out":"a"}\n{"in":["2"],"out":"\\u00e9"}\n')
+        inputs = files("inputs.jsonl", '{"in":["1"]}\n{"in":["2"]}\n')
+        result = run_cli(
+            "monitor", "--program", "table:" + table, "--mode", "mono", "--inputs", inputs,
+            env={**os.environ, "PYTHONIOENCODING": "ascii"},
+        )
+        assert (result.returncode, result.stdout) == (3, "1\t1\ta\tUNKNOWN\n")
+        assert result.stderr == (
+            "error: 'ascii' codec can't encode character '\\xe9' in position 4: "
+            "ordinal not in range(128)\n"
         )
 
     @pytest.mark.parametrize("case", ["false", "true", "max-steps", "unencodable"])

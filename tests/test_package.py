@@ -493,15 +493,15 @@ _COMMANDS = {
     ),
     "oracle": (
         ["oracle", "--table", "{table}", "--notion", "dist"],
-        {"minimon.tester"}, _NOT_PROGRAMS | {"random"},
+        {"minimon.tester"}, _NOT_PROGRAMS | {"random", "minimon.monitor"},
     ),
     "oracle-mono": (
         ["oracle", "--table", "{table}", "--notion", "mono"],
-        {"minimon.tester"}, _NOT_PROGRAMS | {"random"},
+        {"minimon.tester"}, _NOT_PROGRAMS | {"random", "minimon.monitor"},
     ),
     "oracle-sdist": (
         ["oracle", "--table", "{table}", "--notion", "sdist"],
-        {"minimon.tester"}, _NOT_PROGRAMS | {"random"},
+        {"minimon.tester"}, _NOT_PROGRAMS | {"random", "minimon.monitor"},
     ),
 }
 

@@ -849,6 +849,10 @@ def _o1_table():
     return programs.TableProgram({(str(n),): f"o{n}" for n in range(3)})
 
 
+def _o1_exec():
+    return CommandProgram(mod_worker(1000, 10), arity=1)
+
+
 def _returning(out):
     """A builtin that maps ("1",) to "o1" and every other input to `out`."""
     return lambda: BuiltinProgram("out", 1, lambda i: "o1" if i == ("1",) else out)
@@ -868,14 +872,17 @@ _BAD_FOR_ARITY_1 = {"list": ["1"], "empty": (), "arity": ("1", "2"), "int": (1,)
     + [
         pytest.param(_returning(out), ("2",), id=f"returns-{out!r}-cache1")
         for out in ("a b", "", 7)
-    ],
+    ]
+    # A lone surrogate is a token, but no exec: request can encode it.
+    + [pytest.param(_o1_exec, ("\ud800",), id="_o1_exec-surrogate-cache1")],
 )
 def test_stream_fails_at_its_input_as_evaluate_does(make, bad):
     """pairs() over [good, bad, good] yields the good output, then raises
     the exception that evaluate(bad) raises, with the same message."""
-    with pytest.raises(Exception) as exc:
-        make().evaluate(bad)
-    got, error = _pull(make().pairs([("1",), bad, ("1",)]))
+    with make() as program, pytest.raises(Exception) as exc:
+        program.evaluate(bad)
+    with make() as program:
+        got, error = _pull(program.pairs([("1",), bad, ("1",)]))
     assert got == [(("1",), "o1")]
     assert (type(error), str(error)) == (type(exc.value), str(exc.value))
 
