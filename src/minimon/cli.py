@@ -3,20 +3,20 @@
 Exit codes mirror verdicts so CI scripts can branch: 0 = TRUE, 1 = FALSE,
 2 = UNKNOWN, 3 = usage or runtime error.
 
-Only what every command runs (argparse, the errors and the trace readers) is
-imported at module level. Each command imports the rest of what it runs
-itself, so each pays start-up only for the modules whose code it runs: only
-`exec:` program specs load `command`, and `synth-min` and `check-pre` load
-no `monitor`.
+Only what every command runs (the errors and the trace readers) is imported
+at module level. Each command imports the rest of what it runs itself, so
+each pays start-up only for the modules whose code it runs: only `exec:`
+program specs load `command`, `synth-min` and `check-pre` load no `monitor`,
+and only a command line that `_read` leaves to argparse loads `argparse`.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 from .errors import MinimonError
 from .trace import (
@@ -68,15 +68,6 @@ _ORACLES = {
     "sdist": ("table_strong_dist_minimal", _pair_text),
     "dist": ("table_dist_minimal", _indistinguishable_text),
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors, which would collide with
-    # the UNKNOWN exit code; remap to 3
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
 
 
 def _mode(args):
@@ -151,15 +142,22 @@ def cmd_check_trace(args) -> int:
     witness = monitor.witness
     if args.json:
         events = monitor.events_seen
-        print(json.dumps({
+        out = sys.stdout
+        out.write(json.dumps({
             "command": "check-trace",
             "mode": mode.value,
             "events": events,
             "verdict": final.value,
             "witness": witness.to_dict() if witness else None,
-            # Verdicts latch: UNKNOWN until the step where the verdict concluded.
-            "prefix_verdicts": ["UNKNOWN"] * unknown + [final.value] * (events - unknown),
-        }))
+        })[:-1] + ', "prefix_verdicts": [')
+        # Verdicts latch: UNKNOWN until the step where the verdict concluded.
+        # The array is written as json.dumps would, 4,096 items at a time.
+        sep = ""
+        for value, count in (("UNKNOWN", unknown), (final.value, events - unknown)):
+            for left in range(count, 0, -4096):
+                out.write(sep + ", ".join([f'"{value}"'] * min(left, 4096)))
+                sep = ", "
+        out.write("]}\n")
     else:
         print(final.value)
         if witness is not None:
@@ -316,7 +314,71 @@ def cmd_oracle(args) -> int:
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
-def _make_parser() -> _Parser:
+_MODE = dict(choices=sorted(_MODES), required=True)
+_REQUIRED = dict(required=True)
+_SEED = dict(type=int, default=0)
+_PRE = dict(help="minimiser table file to compose in front of the program")
+_FLAG = dict(action="store_true")
+# Each subcommand's handler, help, and options in usage order, with their
+# add_argument keywords: what `_make_parser` and `_read` read.
+_SUBCOMMANDS = {
+    "check-trace": (cmd_check_trace, "verdict for a recorded trace file", {
+        "--trace": dict(required=True, help="JSONL trace file"),
+        "--mode": _MODE,
+        "--domain": dict(help="JSON domain file (enables TRUE verdicts)"),
+        "--json": dict(action="store_true", help="machine-readable report"),
+    }),
+    "monitor": (cmd_monitor, "monitor a program online, streaming verdicts", {
+        "--program": dict(required=True, help="builtin:<name>, table:<file>, or exec:<argv>"),
+        "--mode": _MODE,
+        "--domain": dict(help="JSON domain file"),
+        "--inputs": dict(help="JSONL input file to replay"),
+        "--random": dict(action="store_true", help="sample inputs uniformly from the domain"),
+        "--seed": _SEED,
+        "--max-steps": dict(type=int, default=10**5),
+        "--pre": _PRE,
+    }),
+    "test": (cmd_test, "probe the whole domain until a conclusive verdict", {
+        "--program": _REQUIRED,
+        "--domain": _REQUIRED,
+        "--mode": _MODE,
+        "--strategy": dict(choices=sorted(_STRATEGIES), default="rand"),
+        "--seed": _SEED,
+        "--pre": _PRE,
+        "--json": _FLAG,
+    }),
+    "synth-min": (cmd_synth_min, "synthesise a minimiser table by output partitioning", {
+        "--program": _REQUIRED,
+        "--domain": _REQUIRED,
+        "--out": dict(required=True, help="output minimiser table file (JSONL)"),
+        "--rep": dict(default="least", help="representative choice: least, first, or rand:SEED"),
+    }),
+    "check-pre": (cmd_check_pre, "validate a pre-processor table against a program", {
+        "--program": _REQUIRED,
+        "--domain": _REQUIRED,
+        "--pre": dict(required=True, help="candidate table file (JSONL from/to lines)"),
+        "--json": _FLAG,
+    }),
+    "oracle": (cmd_oracle, "exhaustive minimality check of a full function table", {
+        "--table": dict(required=True, help="JSONL function table file"),
+        "--notion": dict(choices=_ORACLES, required=True),
+    }),
+}
+# The required one-of group, of `monitor`.
+_ONE_OF = {"--inputs", "--random"}
+
+
+def _make_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on usage errors, which would collide
+        # with the UNKNOWN exit code; remap to 3
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_ERROR)
+
     parser = _Parser(
         prog="minimon",
         description="Verify data minimisation of black-box programs from "
@@ -324,61 +386,54 @@ def _make_parser() -> _Parser:
         "pre-deployment testing, and input-minimiser synthesis.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("check-trace", help="verdict for a recorded trace file")
-    p.add_argument("--trace", required=True, help="JSONL trace file")
-    p.add_argument("--mode", choices=sorted(_MODES), required=True)
-    p.add_argument("--domain", help="JSON domain file (enables TRUE verdicts)")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=cmd_check_trace)
-
-    p = sub.add_parser("monitor", help="monitor a program online, streaming verdicts")
-    p.add_argument("--program", required=True, help="builtin:<name>, table:<file>, or exec:<argv>")
-    p.add_argument("--mode", choices=sorted(_MODES), required=True)
-    p.add_argument("--domain", help="JSON domain file")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--inputs", help="JSONL input file to replay")
-    src.add_argument("--random", action="store_true", help="sample inputs uniformly from the domain")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10**5)
-    p.add_argument("--pre", help="minimiser table file to compose in front of the program")
-    p.set_defaults(func=cmd_monitor)
-
-    p = sub.add_parser("test", help="probe the whole domain until a conclusive verdict")
-    p.add_argument("--program", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--mode", choices=sorted(_MODES), required=True)
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="rand")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pre", help="minimiser table file to compose in front of the program")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_test)
-
-    p = sub.add_parser("synth-min", help="synthesise a minimiser table by output partitioning")
-    p.add_argument("--program", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--out", required=True, help="output minimiser table file (JSONL)")
-    p.add_argument("--rep", default="least", help="representative choice: least, first, or rand:SEED")
-    p.set_defaults(func=cmd_synth_min)
-
-    p = sub.add_parser("check-pre", help="validate a pre-processor table against a program")
-    p.add_argument("--program", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pre", required=True, help="candidate table file (JSONL from/to lines)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_pre)
-
-    p = sub.add_parser("oracle", help="exhaustive minimality check of a full function table")
-    p.add_argument("--table", required=True, help="JSONL function table file")
-    p.add_argument("--notion", choices=_ORACLES, required=True)
-    p.set_defaults(func=cmd_oracle)
-
+    for name, (func, text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        group = p.add_mutually_exclusive_group(required=True) if _ONE_OF <= options.keys() else p
+        for option, keywords in options.items():
+            (group if option in _ONE_OF else p).add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read(argv: list[str]):
+    """`_make_parser().parse_args(argv)`, if `argv` is a subcommand and then
+    each of its options once by full name, each but a flag followed by a
+    value that does not start with `-`; otherwise None, for argparse."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    func, _, options = _SUBCOMMANDS[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        keywords = options.get(word)
+        if keywords is None or word in given:
+            return None
+        value = True
+        if "action" not in keywords:  # not a flag
+            value = next(words, "-")  # a missing value reads as an option
+            if value[:1] == "-":
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+        given[word] = value
+    if any(keywords.get("required") and option not in given for option, keywords in options.items()):
+        return None
+    if _ONE_OF <= options.keys() and len(_ONE_OF & given.keys()) != 1:
+        return None
+    args = SimpleNamespace(subcommand=argv[0], func=func)
+    for option, keywords in options.items():
+        default = keywords.get("default", False if "action" in keywords else None)
+        setattr(args, option[2:].replace("-", "_"), given.get(option, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or _make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MinimonError, ValueError, OSError) as exc:

@@ -35,7 +35,7 @@ from minimon import (
     parse_trace,
     prefix_verdicts,
 )
-from minimon.cli import _MODES, cmd_check_trace, main
+from minimon.cli import _MODES, _ONE_OF, _SUBCOMMANDS, _make_parser, _read, cmd_check_trace, main
 from minimon.trace import parse_input_lines
 
 from helpers import (
@@ -150,6 +150,55 @@ class TestCheckTrace:
                 tracemalloc.stop()
         assert capsys.readouterr().out == "UNKNOWN\n" * 3
         assert peaks[1] - peaks[0] <= 2**19, peaks
+
+    def test_json_peak_memory_does_not_grow_with_the_events(self, tmp_path):
+        """With --json, check-trace writes `prefix_verdicts` in pieces: its
+        traced peak on 200,001 events over 101 inputs is within 0.5 MiB of
+        its peak on 20,001, and each report is json.dumps' bytes."""
+        import tracemalloc
+
+        lines = "".join(f'{{"in":["{n}"],"out":"o{n}"}}\n' for n in range(100))
+        violation = '{"in":["x"],"out":"o0"}\n'  # shares event 0's output
+        paths = []
+        for events in (20_000, 200_000):
+            paths.append(tmp_path / f"{events}.jsonl")
+            paths[-1].write_text(lines * (events // 100) + violation)
+        out_path = tmp_path / "out.json"
+        peaks = []
+        with open(out_path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            main(["check-trace", "--trace", str(paths[0]), "--mode", "mono", "--json"])  # imports
+            for path in paths:
+                tracemalloc.start()
+                try:
+                    assert main(["check-trace", "--trace", str(path), "--mode", "mono", "--json"]) == 1
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        reports = out_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for report, events in zip(reports, (20_000, 20_000, 200_000)):
+            assert report == json.dumps(json.loads(report)) + "\n"
+            assert json.loads(report)["prefix_verdicts"] == ["UNKNOWN"] * events + ["FALSE"]
+        assert len(reports) == 3
+        assert peaks[1] - peaks[0] <= 2**19, peaks
+
+    @pytest.mark.parametrize(
+        "unknown, false",
+        [(0, 0), (1, 0), (4096, 0), (4097, 0), (1, 1), (4095, 1), (4096, 1), (3, 4097), (4097, 8193)],
+    )
+    def test_json_prefix_verdicts_across_pieces(self, tmp_path, capsys, unknown, false):
+        """The pieces of `prefix_verdicts` join into json.dumps' bytes: for an
+        empty trace, and where a run of UNKNOWN or of the final verdict ends
+        at, before or after the end of a 4,096-item piece."""
+        lines = [f'{{"in":["{n}"],"out":"o{n}"}}\n' for n in range(unknown)]
+        lines += ['{"in":["x"],"out":"o0"}\n'] * false  # shares event 0's output
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(lines))
+        code = main(["check-trace", "--trace", str(trace), "--mode", "mono", "--json"])
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert (code, out) == (1 if false else 2, json.dumps(report) + "\n")
+        assert report["events"] == unknown + false
+        assert report["prefix_verdicts"] == ["UNKNOWN"] * unknown + ["FALSE"] * false
 
     def test_two_source_trace_strong_dist(self, files):
         trace = files("t2.jsonl", TABLE2_TRACE)
@@ -886,6 +935,174 @@ class TestErrors:
         )
         assert result.returncode == 3
         assert "error:" in result.stderr
+
+
+# stdout, stderr and exit code of `minimon --help`, of each subcommand's
+# help and of usage errors, recorded with COLUMNS=80 before the command line
+# was read from an option table. argparse words them differently from one
+# Python version to the next, so they are pinned on the version recorded.
+_USAGE = json.loads(pathlib.Path(__file__).with_name("usage_corpus.json").read_text("utf-8"))
+_pinned_usage = pytest.mark.skipif(
+    sys.version_info[:2] != tuple(map(int, _USAGE["python"].split("."))),
+    reason=f"usage bytes are recorded on Python {_USAGE['python']}",
+)
+
+
+def _usage_id(case):
+    return " ".join(case["argv"]) or "(no argv)"
+
+
+@_pinned_usage
+@pytest.mark.parametrize("case", _USAGE["cases"], ids=_usage_id)
+def test_usage_bytes_are_pinned_in_process(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(_USAGE["columns"]))
+    with pytest.raises(SystemExit) as exit_:
+        main(case["argv"])
+    assert (exit_.value.code, *capsys.readouterr()) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@_pinned_usage
+@pytest.mark.parametrize("case", _USAGE["cases"], ids=_usage_id)
+def test_usage_bytes_are_pinned_through_python_m(case):
+    result = run_cli(*case["argv"], env={**os.environ, "COLUMNS": str(_USAGE["columns"])})
+    assert (result.returncode, result.stdout, result.stderr) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
+
+
+# Values that an option may meet: plain words, choices in and out of case,
+# the spellings that int() accepts (" 7", "+7", "7_0", a non-ASCII digit),
+# and words that start with "-", which argparse may or may not take as values.
+_VALUES = ["x", "builtin:xor", "a=b", "", " ", "mono", "sdist", "dist", "lex", "rand", "MONO",
+           "0", "7", " 7", "+7", "7_0", "٣", "1.5", "-1", "-", "--", "--mode", "-h"]
+# Words that a well-formed command line does not hold where they are put.
+_NOISE = ["-h", "--help", "--", "-", "-1", "--seed=-1", "--mode=mono", "--tr", "--p", "--json=1",
+          "--bogus", "frobnicate", "", *_SUBCOMMANDS]
+
+
+def _value(draw, keywords):
+    """A value that `keywords`' type and choices take."""
+    if "choices" in keywords:
+        return draw(st.sampled_from(list(keywords["choices"])))
+    if "type" in keywords:
+        return draw(st.sampled_from(["0", "7", " 7", "+7", "7_0", "٣", "100000"]))
+    return draw(st.sampled_from(["x", "builtin:xor", "a=b", "", " ", "mono", "7"]))
+
+
+@st.composite
+def _command_lines(draw, noisy):
+    """An argv drawn from the option table. Without noise, it is of the one
+    form that `_read` reads: each required option once, with a value that
+    its type and choices take, and one of a one-of group. With noise, an
+    option may also be left out or given a value from `_VALUES`, and up to
+    three edits insert, drop or repeat words, abbreviate an option or join
+    it to its value with `=`."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    options = _SUBCOMMANDS[name][2]
+    one_of = draw(st.sampled_from(sorted(_ONE_OF)))
+    argv = [name]
+    for option in draw(st.permutations(list(options))):
+        keywords = options[option]
+        if keywords.get("required") or option == one_of:
+            if noisy and draw(st.integers(0, 9)) == 0:
+                continue
+        elif (option in _ONE_OF and not noisy) or draw(st.booleans()):
+            continue
+        argv.append(option)
+        if "action" not in keywords:
+            if noisy and draw(st.integers(0, 3)) == 0:
+                argv.append(draw(st.sampled_from(_VALUES) | st.text(max_size=3)))
+            else:
+                argv.append(_value(draw, keywords))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3])) if noisy else 0):
+        at = draw(st.integers(0, len(argv) - 1)) if argv else 0
+        edit = draw(st.sampled_from(["insert", "drop", "repeat", "abbreviate", "join"]))
+        word = argv[at] if argv else ""
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(_NOISE + _VALUES)))
+        elif edit == "drop" and argv:
+            del argv[at]
+        elif edit == "repeat":
+            argv += argv[at:at + 2]
+        elif edit == "abbreviate" and word.startswith("--") and len(word) > 3:
+            argv[at] = word[:draw(st.integers(3, len(word) - 1))]
+        elif edit == "join" and word.startswith("--") and at + 1 < len(argv):
+            argv[at:at + 2] = [f"{word}={argv[at + 1]}"]
+    return argv
+
+
+def _argparse_namespace(argv):
+    try:
+        return vars(_make_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv!r}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_command_lines(noisy=True))
+def test_reader_gives_what_argparse_gives_or_leaves_it_to_argparse(argv):
+    """Wherever the reader accepts an argv, its namespace is argparse's:
+    abbreviations, `=` forms, repeats, negative numbers and unknown words
+    go to argparse."""
+    args = _read(argv)
+    if args is not None:
+        assert vars(args) == _argparse_namespace(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_command_lines(noisy=False))
+def test_reader_reads_every_well_formed_command_line(argv):
+    args = _read(argv)
+    assert args is not None, argv
+    assert vars(args) == _argparse_namespace(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--program", "x", "--domain", "d", "--mode", "mono", "--seed", "-1"],
+        ["test", "--program", "x", "--domain", "d", "--mode", "mono", "--json", "--json"],
+        ["test", "--program", "x", "--domain", "d", "--mode=mono"],
+        ["test", "--prog", "x", "--domain", "d", "--mode", "mono"],
+        ["check-trace", "--trace", "-", "--mode", "sdist"],
+        ["monitor", "--program", "x", "--mode", "mono", "--random", "--max-steps", "-2"],
+        ["oracle", "--table", "t", "--notion=dist"],
+    ],
+)
+def test_reader_leaves_to_argparse_what_argparse_reads_otherwise(argv):
+    """These argvs parse, but not in the one form the reader reads."""
+    assert _read(argv) is None
+    assert _argparse_namespace(argv)["subcommand"] == argv[0]
+
+
+_MONITOR = ["monitor", "--program", "x", "--mode", "mono"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_MONITOR, "--inputs", "i", "--random"],
+        _MONITOR,
+        ["check-trace", "--trace", "t"],
+        ["check-trace", "--trace", "t", "--mode", "MONO"],
+        [*_MONITOR, "--random", "--seed", "1.5"],
+        [*_MONITOR, "--random", "--seed"],
+        ["check-trace", "--mode", "mono", "--trace", "--json"],
+    ],
+)
+def test_reader_leaves_usage_errors_to_argparse(argv, capsys):
+    assert _read(argv) is None
+    with pytest.raises(SystemExit) as exit_:
+        _make_parser().parse_args(argv)
+    assert exit_.value.code == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_main_reads_sys_argv_when_given_none(files, monkeypatch, capsys):
+    table = files("xor.jsonl", XOR_TRACE)
+    monkeypatch.setattr(sys, "argv", ["minimon", "oracle", "--table", table, "--notion", "dist"])
+    assert main() == 0
+    assert capsys.readouterr().out == "minimal\n"
 
 
 # Nested far deeper than any JSON decoder recursion limit.

@@ -509,14 +509,30 @@ _COMMANDS = {
 @pytest.mark.parametrize("args, loads, skips", _COMMANDS.values(), ids=_COMMANDS)
 def test_no_command_loads_dataclasses_or_inspect(inputs, pre, tmp_path, args, loads, skips):
     """Each command loads the modules it runs and none that it was pinned
-    not to, and none loads the stdlib modules that generating dataclass
-    methods needs."""
+    not to. None loads the stdlib modules that generating dataclass methods
+    needs, nor argparse, which reads only the command lines that `cli._read`
+    leaves to it."""
     paths = {**inputs, "pre": pre, "out": str(tmp_path / "out.jsonl")}
     result, modules = run_cli_bare(*(arg.format(**paths) for arg in args))
     assert result.returncode in (0, 1, 2), result.stderr
     assert result.stdout
     assert loads <= modules
-    assert modules & (skips | {"dataclasses", "inspect"}) == set()
+    assert modules & (skips | {"dataclasses", "inspect", "argparse"}) == set()
+
+
+@pytest.mark.parametrize(
+    "tail", [["--mode", "sdist", "--seed", "-1"], ["--mode=sdist", "--seed", "1"]],
+    ids=["negative", "equals"],
+)
+def test_a_command_line_left_to_argparse_loads_it_and_runs_the_same(inputs, tail):
+    """argparse reads a `--seed -1` or an `--opt=value` command line: that
+    command loads argparse, and prints what the form read without it
+    prints."""
+    argv = ["test", "--program", "builtin:xor", "--domain", inputs["domain"], "--strategy", "lex"]
+    read, read_modules = run_cli_bare(*argv, "--mode", "sdist", "--seed", "1")
+    parsed, parsed_modules = run_cli_bare(*argv, *tail)
+    assert (parsed.returncode, parsed.stdout) == (read.returncode, read.stdout) == (0, "TRUE\nsteps: 4 of 4\n")
+    assert "argparse" in parsed_modules - read_modules
 
 
 def test_command_program_is_defined_in_the_exec_module():
