@@ -273,10 +273,9 @@ class CommandProgram(Program):
     def close(self) -> None:
         """Stop the child once it has answered what was sent and exited, or
         the timeout has passed. ProgramFailure if it sent a line that no
-        request asked for."""
-        if self._in_flight:
-            self._discard_in_flight()
-        leftover = self._shutdown(grace=self.timeout)
+        request asked for; the replies still in flight are dropped."""
+        in_flight = self._in_flight
+        leftover = self._shutdown(grace=self.timeout)[in_flight:]
         if leftover:
             raise ProgramFailure(
                 f"{self.name!r}: unsolicited output line {leftover[0]!r} left over at close",

@@ -54,10 +54,6 @@ class MinimiserTable(_Record):
     def __init__(self, mapping: dict[InputTuple, InputTuple], arity: int) -> None:
         self._set(mapping, arity)
 
-    @property
-    def representatives(self) -> frozenset[InputTuple]:
-        return frozenset(self.mapping.values())
-
     def apply(self, inputs: InputTuple) -> InputTuple:
         try:
             return self.mapping[inputs]
@@ -156,12 +152,14 @@ def validate_preprocessor(
 ) -> ValidationReport:
     """Check a candidate table over the whole domain: targets stay inside the
     domain, outputs are preserved, the map is idempotent, and (for minimiser
-    status) the program is injective on the table's range. A domain larger
-    than the budget (default 10^7, env-overridable), or one the table is not
-    total on, is refused before any probe; then the program's stream
+    status) the program is injective on the table's range. A program of
+    another arity than the domain's, a domain larger than the budget
+    (default 10^7, env-overridable), or one the table is not total on, is
+    refused before any probe, in that order; then the program's stream
     evaluates each domain element once, and every check is a lookup."""
     from .properties import CollisionIndex, Mode
 
+    check_arity(program, domain)
     check_budget(domain.size, "validation needs {} probes")
     mapping = table.mapping
     order = list(domain.enumerate())

@@ -135,8 +135,10 @@ def find_witness(mode: Mode, trace: Trace) -> Witness | None:
 
     Only first occurrences are indexed: if either event of a violating pair
     repeats an earlier input, swapping in that earlier event gives a smaller
-    violating pair, so the least pair never contains a repeat.
+    violating pair, so the least pair never contains a repeat. They are
+    found in the pass that feeds the index.
     """
-    firsts = ((inputs, out, pos) for inputs, (out, pos) in trace._first_seen.items())
+    first = {}.setdefault  # input -> its first position
+    firsts = ((i, out, pos) for pos, (i, out) in enumerate(trace._pairs) if first(i, pos) == pos)
     best = least_collision(mode, firsts)
     return None if best is None else Witness(mode, *best)

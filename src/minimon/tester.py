@@ -61,15 +61,12 @@ class IndistinguishablePair(_Frozen):
 
 
 def _table_collision(table: FunctionTable, mode: Mode) -> tuple[bool, CollisionWitness | None]:
-    enumerated = enumerate(table.domain.enumerate())
-    firsts = ((inputs, table.outputs[inputs], pos) for pos, inputs in enumerated)
-    best = least_collision(mode, firsts)
+    order = list(table.domain.enumerate())
+    outputs = map(table.outputs.__getitem__, order)
+    best = least_collision(mode, zip(order, outputs, itertools.count()))
     if best is None:
         return True, None
-    input_a, input_b = (
-        next(itertools.islice(table.domain.enumerate(), pos, None)) for pos in best[:2]
-    )
-    return False, CollisionWitness(input_a, input_b, differing_source=best[2])
+    return False, CollisionWitness(order[best[0]], order[best[1]], differing_source=best[2])
 
 
 def table_mono_minimal(table: FunctionTable) -> tuple[bool, CollisionWitness | None]:
@@ -103,10 +100,7 @@ def table_dist_minimal(table: FunctionTable) -> tuple[bool, IndistinguishablePai
             # Every context of the other sources, in product order, with u at j.
             vec = tuple(map(output_of, itertools.product(*before, (u,), *after)))
             groups.setdefault(vec, []).append(rank)
-        best: tuple[int, int] | None = None
-        for ranks in groups.values():
-            if len(ranks) >= 2 and (best is None or (ranks[0], ranks[1]) < best):
-                best = (ranks[0], ranks[1])
+        best = min((ranks[:2] for ranks in groups.values() if len(ranks) > 1), default=None)
         if best is not None:
             return False, IndistinguishablePair(j, src[best[0]], src[best[1]])
     return True, None
@@ -176,7 +170,7 @@ def run_test(
                 verdict,
                 monitor.witness,
                 len(pairs),
-                Trace._from_checked(pairs, monitor.first_seen),  # no second scan
+                Trace._from_checked(pairs),
                 strategy,
                 seed if strategy == RANDOM_PERMUTATION else None,
             )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import partial
@@ -115,7 +116,7 @@ class Trace:
     """An immutable deterministic trace (equal inputs imply equal outputs),
     kept as (inputs, output) pairs; reading an event builds its Event."""
 
-    __slots__ = ("_pairs", "_arity", "_first_seen")
+    __slots__ = ("_pairs",)
 
     def __init__(self, events: Iterable[Event] = ()):
         pairs = []
@@ -136,18 +137,14 @@ class Trace:
                 raise _conflict(inputs, output, pos, prior)
             pairs.append((inputs, output))
         self._pairs = tuple(pairs)
-        self._arity = arity
-        self._first_seen = first_seen
 
     @classmethod
-    def _from_checked(cls, pairs: tuple[tuple[InputTuple, str], ...], first_seen: _FirstSeen) -> Trace:
+    def _from_checked(cls, pairs: tuple[tuple[InputTuple, str], ...]) -> Trace:
         """A trace over (inputs, output) pairs of checked tokens already known
-        to share one arity and to be deterministic; `first_seen` maps each
-        input to (output, first position). Skips the scan that __init__ makes."""
+        to share one arity and to be deterministic. Skips the scan that
+        __init__ makes."""
         trace = object.__new__(cls)
         trace._pairs = pairs
-        trace._arity = len(pairs[0][0]) if pairs else None
-        trace._first_seen = first_seen
         return trace
 
     @property
@@ -157,7 +154,7 @@ class Trace:
     @property
     def arity(self) -> int | None:
         """Common arity of all events; None for the empty trace."""
-        return self._arity
+        return len(self._pairs[0][0]) if self._pairs else None
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -178,16 +175,16 @@ class Trace:
         return hash(self._pairs)
 
     def __repr__(self) -> str:
-        return f"Trace({len(self._pairs)} events, arity={self._arity})"
+        return f"Trace({len(self._pairs)} events, arity={self.arity})"
 
     def distinct_inputs(self) -> int:
-        return len(self._first_seen)
+        return len(dict(self._pairs))
 
 
 class InputDomain:
     """A finite product domain, one ordered value set per input source."""
 
-    __slots__ = ("_sources", "_sets", "_size")
+    __slots__ = ("_sources", "_sets")
 
     def __init__(self, sources: Iterable[Iterable[str]]):
         canon = []
@@ -205,11 +202,7 @@ class InputDomain:
     def _adopt(self, canon: list[tuple[str, ...]]) -> None:
         """Adopt `canon`: non-empty, each source of distinct checked tokens in canonical order."""
         self._sources = tuple(canon)
-        self._sets = tuple(frozenset(s) for s in canon)
-        size = 1
-        for s in canon:
-            size *= len(s)
-        self._size = size
+        self._sets = tuple(map(frozenset, canon))
 
     @property
     def sources(self) -> tuple[tuple[str, ...], ...]:
@@ -221,7 +214,7 @@ class InputDomain:
 
     @property
     def size(self) -> int:
-        return self._size
+        return math.prod(map(len, self._sources))
 
     def contains(self, inputs: InputTuple) -> bool:
         return len(inputs) == len(self._sets) and all(
@@ -240,7 +233,7 @@ class InputDomain:
         return hash(self._sources)
 
     def __repr__(self) -> str:
-        return f"InputDomain(arity={self.arity}, size={self._size})"
+        return f"InputDomain(arity={self.arity}, size={self.size})"
 
     @classmethod
     def from_dict(cls, obj: object) -> InputDomain:
@@ -459,7 +452,7 @@ def _read_trace(lines: Iterable[str]) -> Trace:
         if prior[0] != output:
             raise _conflict(inputs, output, pos, prior, partial(record_line, blanks))
         pairs.append((inputs, output))
-    return Trace._from_checked(tuple(pairs), first_seen)
+    return Trace._from_checked(tuple(pairs))
 
 
 def parse_trace(text: str) -> Trace:

@@ -741,7 +741,7 @@ class TestSynthMin:
         assert lines[1] == f"wrote {out}"
         table = load_minimiser(out)
         assert len(table.mapping) == 101
-        assert len(table.representatives) == 17
+        assert len(set(table.mapping.values())) == 17
 
     def test_threshold_program(self, files, tmp_path):
         domain = files("d.json", '{"sources":[{"range":[1,30000]}]}')
@@ -753,7 +753,7 @@ class TestSynthMin:
         assert result.returncode == 0
         assert result.stdout.splitlines()[0].startswith("2 partitions (")
         table = load_minimiser(out)
-        assert table.representatives == {("1",), ("10000",)}
+        assert set(table.mapping.values()) == {("1",), ("10000",)}
 
     def test_domain_over_the_synthesis_cap_is_refused(self, files, tmp_path):
         """The cap is fixed: a budget over it does not lift it."""
@@ -968,6 +968,52 @@ def test_usage_bytes_are_pinned_through_python_m(case):
     assert (result.returncode, result.stdout, result.stderr) == (
         case["exit"], case["stdout"], case["stderr"]
     )
+
+
+# Exit code, stdout, stderr and written table of every subcommand, with and
+# without --json and a domain, in both modes, on faulty inputs and `exec:`
+# children that crash, send an extra line or a malformed reply. Each case
+# runs in a directory holding the corpus's files, named by relative paths;
+# "{python}" stands for sys.executable, and synth-min's elapsed time is
+# masked. No case reaches argparse, so the bytes hold on every Python version.
+_BEHAVIOUR = json.loads(pathlib.Path(__file__).with_name("behaviour_corpus.json").read_text("utf-8"))
+_ELAPSED = re.compile(r"\(\d+\.\d{3} s\)")
+
+
+@pytest.fixture(scope="module")
+def behaviour_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("behaviour")
+    for name, text in _BEHAVIOUR["files"].items():
+        if isinstance(text, list):  # [piece, count] pairs
+            text = "".join(piece * count for piece, count in text)
+        (work / name).write_bytes(text.encode("utf-8"))
+    for name, data in _BEHAVIOUR["binary_files"].items():
+        (work / name).write_bytes(bytes.fromhex(data))
+    return work
+
+
+def _behaviour_id(case):
+    return " ".join([f"{k}={v}" for k, v in case.get("env", {}).items()] + case["argv"])
+
+
+@pytest.mark.parametrize("case", _BEHAVIOUR["cases"], ids=_behaviour_id)
+def test_behaviour_bytes_are_pinned(case, behaviour_dir):
+    python = sys.executable
+    argv = [word.replace("{python}", shlex.quote(python)) for word in case["argv"]]
+    env = {k: v for k, v in os.environ.items() if k != "MINIMON_BUDGET"}
+    env.update(case.get("env", {}), PYTHONIOENCODING="utf-8",
+               PYTHONPATH=str(pathlib.Path(__import__("minimon").__file__).parents[1]))
+    result = subprocess.run([python, "-m", "minimon", *argv], cwd=behaviour_dir, env=env,
+                            capture_output=True, timeout=60)
+
+    def masked(raw):
+        return _ELAPSED.sub("(ELAPSED s)", raw.decode("utf-8").replace(python, "{python}"))
+
+    assert (result.returncode, masked(result.stdout), masked(result.stderr)) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
+    if "wrote" in case:
+        assert (behaviour_dir / case["wrote"]).read_bytes().decode("utf-8") == case["table"]
 
 
 # Values that an option may meet: plain words, choices in and out of case,

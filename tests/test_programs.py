@@ -4,6 +4,7 @@ memo, table files, and the external line protocol."""
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 import textwrap
 import threading
@@ -538,6 +539,41 @@ class TestCommandProgram:
         program.close()
         assert proc.returncode is not None and time.monotonic() - start < 0.5 + 2
 
+    @pytest.mark.parametrize("child, failure", [
+        # Answers every request, then sends one line at EOF that none asked for.
+        ("""\
+            import sys
+            for line in sys.stdin:
+                sys.stdout.write("r" + line)
+                sys.stdout.flush()
+            sys.stdout.write("unasked\\n")
+            """, "unsolicited output line b'unasked\\n' left over at close"),
+        # Answers 3 of the 10 requests and exits.
+        ("""\
+            import sys
+            for n, line in enumerate(sys.stdin):
+                sys.stdout.write("r" + line)
+                sys.stdout.flush()
+                if n == 2:
+                    break
+            """, None),
+    ], ids=["extra-line-at-eof", "exits-after-three"])
+    def test_close_with_replies_in_flight(self, tmp_path, child, failure):
+        """The consumer stops after the first pair of a 10-request window:
+        close() drops the 9 replies still in flight, fails only on a line
+        sent beyond them, and leaves no child."""
+        argv = _write_script(tmp_path, "child.py", child)
+        program = CommandProgram(argv, arity=1, timeout=5)
+        stream = outputs(program, [(str(n),) for n in range(10)])
+        assert next(stream) == "r0"
+        proc = program._proc
+        if failure is None:
+            program.close()
+        else:
+            with pytest.raises(ProgramFailure, match=re.escape(failure)):
+                program.close()
+        assert proc.returncode is not None and program._proc is None
+
     def test_close_kills_a_child_that_ignores_eof_and_sigterm(self, tmp_path):
         argv = _write_script(
             tmp_path,
@@ -689,7 +725,7 @@ class TestPipeline:
         with compose(CommandProgram(mod_worker(1000, 10), arity=1), table) as composed:
             single = [composed.observe(i) for i in order]
         assert streamed == single
-        assert count.read_text() == str(len(table.representatives))
+        assert count.read_text() == str(len(set(table.mapping.values())))
 
     def test_builtin_stream_is_the_per_input_loop(self):
         program = make_builtin("xor")

@@ -23,6 +23,7 @@ from minimon import (
     table_dist_minimal,
     table_mono_minimal,
     table_strong_dist_minimal,
+    validate_preprocessor,
 )
 from minimon import command, minimiser, programs
 from minimon.minimiser import compose
@@ -58,6 +59,9 @@ def test_build_table_arity_mismatch():
 @pytest.mark.parametrize("driver", [
     lambda program, domain: run_test(program, domain, Mode.MONOLITHIC),
     lambda program, domain: synthesize(program, domain),
+    lambda program, domain: validate_preprocessor(
+        program, domain, MinimiserTable({("0",): ("0",), ("1",): ("1",)}, 1)
+    ),
 ])
 def test_arity_is_checked_before_the_budget(monkeypatch, driver):
     monkeypatch.setenv("MINIMON_BUDGET", "0")

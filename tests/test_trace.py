@@ -19,11 +19,12 @@ from minimon import (
     InputDomain,
     MinimiserTable,
     Mode,
-    Monitor,
     MonitorConfig,
     ParseError,
     TableProgram,
     Trace,
+    Witness,
+    find_witness,
     load_minimiser,
     load_trace,
     monitor_eval,
@@ -39,6 +40,8 @@ from minimon.trace import is_token, iter_io_lines, parse_input_lines, record_lin
 
 from helpers import (
     mono,
+    naive_mono_witness,
+    naive_sdm_witness,
     ref_input_lines,
     ref_io_records,
     ref_minimiser,
@@ -172,16 +175,28 @@ def test_constructor_matches_reference(events):
     got = outcome(lambda e: list(Trace(e)))
     assert got == outcome(ref_trace_events)
     if isinstance(got, list):
-        first = {}
-        for pos, e in enumerate(events):
-            first.setdefault(e.inputs, (e.output, pos))
-        assert Trace(events)._first_seen == first
+        _assert_reads_as_reference(Trace(events), events)
+
+
+def _assert_reads_as_reference(trace, events):
+    """What a trace works out from its pairs when read, its arity, distinct
+    inputs and least witness in both modes, is what the naive helpers give
+    on `events`."""
+    assert trace.arity == (events[0].arity if events else None)
+    assert trace.distinct_inputs() == len({e.inputs for e in events})
+    mono_pair, sdist_pair = naive_mono_witness(events), naive_sdm_witness(events)
+    assert find_witness(Mode.MONOLITHIC, trace) == (
+        mono_pair and Witness(Mode.MONOLITHIC, *mono_pair)
+    )
+    assert find_witness(Mode.STRONG_DISTRIBUTED, trace) == (
+        sdist_pair and Witness(Mode.STRONG_DISTRIBUTED, *sdist_pair)
+    )
 
 
 @given(events_strategy)
 def test_parsed_trace_equals_constructed_trace(events):
     """parse_trace builds its Trace without Trace()'s scan; the result must
-    be the trace Trace() builds, down to the first-occurrence record."""
+    be the trace Trace() builds, and read as the naive helpers read it."""
     try:
         built = Trace(events)
     except DeterminismViolation as exc:
@@ -192,8 +207,7 @@ def test_parsed_trace_equals_constructed_trace(events):
         return
     parsed = parse_trace(serialize_trace(built))
     assert parsed == built
-    assert parsed.arity == built.arity
-    assert parsed._first_seen == built._first_seen
+    _assert_reads_as_reference(parsed, events)
 
 
 @st.composite
@@ -219,20 +233,18 @@ def _read(sequence, index):
 @settings(max_examples=200, deadline=None)
 @given(_deterministic_events())
 def test_trace_reads_the_same_however_it_was_built(events):
-    """Trace(events), a parse of the serialised trace and a trace built
-    from a monitor's record of the stepped pairs, as run_test builds its
-    report's, are one trace: equal,
-    with the hash of the event tuple, and read back as the same Events."""
+    """Trace(events), a parse of the serialised trace, a load of the saved
+    trace and a trace built from the stepped pairs, as run_test builds its
+    report's, are one trace: equal, with the hash of the event tuple, read
+    back as the same Events, and read as the naive helpers read them."""
     pairs = [(e.inputs, e.output) for e in events]
-    monitor = Monitor(MonitorConfig(Mode.MONOLITHIC))
-    for _ in monitor.steps(pairs):
-        pass
     built = Trace(events)
-    traces = [
-        built,
-        parse_trace(serialize_trace(built)),
-        Trace._from_checked(tuple(pairs), dict(monitor.first_seen)),
-    ]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "trace.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_trace(built))
+        loaded = load_trace(path)
+    traces = [built, parse_trace(serialize_trace(built)), loaded, Trace._from_checked(tuple(pairs))]
     n = len(events)
     indices = [*range(-n - 2, n + 2), "0"]
     bounds = [None, -n - 1, -1, 0, 1, n, n + 1]
@@ -241,8 +253,7 @@ def test_trace_reads_the_same_however_it_was_built(events):
         assert trace == built and hash(trace) == hash(built) == hash(tuple(events))
         assert len(trace) == n
         assert trace.events == tuple(events) and list(trace) == events
-        assert trace.arity == (events[0].arity if events else None)
-        assert trace._first_seen == built._first_seen
+        _assert_reads_as_reference(trace, events)
         for index in [*indices, *slices]:
             assert _read(trace, index) == _read(tuple(events), index), index
         assert all(type(trace[i]) is Event for i in range(-n, n))
