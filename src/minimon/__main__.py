@@ -1,7 +1,9 @@
-"""`python -m minimon`, and the `minimon` script: run the CLI, then end the
-process without interpreter teardown."""
+"""`python -m minimon`, and the `minimon` script: run the CLI without the
+cyclic garbage collector, then end the process without interpreter
+teardown."""
 
 import atexit
+import gc
 import os
 import sys
 
@@ -27,7 +29,17 @@ def hard_exit(code: int):
 
 
 def run():
-    """The `minimon` command: run `cli.main()` on `sys.argv`, then exit."""
+    """The `minimon` command: run `cli.main()` on `sys.argv`, then exit.
+
+    The cyclic garbage collector is off from before `minimon.cli` is
+    imported. A run keeps one record per distinct input until it ends (the
+    monitor's first occurrences, its collision index, a program's memo), and
+    the collector's passes over them freed nothing on any command of the
+    benchmark. No command builds cyclic garbage that grows with its input,
+    so reference counting frees what the collector would;
+    `tests/test_cli.py::TestNoCyclicGarbage` pins that for every command.
+    `cli.main(argv)` itself leaves the caller's `gc` setting as it is."""
+    gc.disable()
     from .cli import main
 
     hard_exit(main())

@@ -445,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    import gc
+
     from .__main__ import hard_exit
 
+    gc.disable()  # as `minimon.__main__.run` does, for the same reason
     hard_exit(main())

@@ -193,19 +193,25 @@ class CommandProgram(Program):
                 requests.append(line)
                 size += len(line)
                 window.append((inputs, True))
-            for inputs, sent in window:
-                if not sent:
-                    yield inputs, record[inputs]
-                    continue
-                if requests:
-                    self._send(requests, owner)
-                    requests = []
-                out = record[inputs] = self._receive(owner)
-                yield inputs, out
-            if isinstance(stop, StopIteration):
-                return
-            if stop is not None:
-                raise stop
+            try:
+                for inputs, sent in window:
+                    if not sent:
+                        yield inputs, record[inputs]
+                        continue
+                    if requests:
+                        self._send(requests, owner)
+                        requests = []
+                    out = record[inputs] = self._receive(owner)
+                    yield inputs, out
+                if isinstance(stop, StopIteration):
+                    return
+                if stop is not None:
+                    raise stop
+            finally:
+                # The error's traceback holds this frame, which holds the
+                # error: dropped here, the frame and the memo it holds are
+                # freed by reference counting, not left for the collector.
+                stop = None
 
     def _send(self, requests: list[bytes], owner: object) -> None:
         """Write `requests` with one write and flush. Replies that an earlier

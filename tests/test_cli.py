@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -41,6 +42,16 @@ from minimon.trace import parse_input_lines
 from helpers import (
     mod_worker, ref_input_lines, ref_io_records, ref_minimiser, ref_parse_trace, ref_table_rows,
 )
+
+# Runs argv (sys.argv[1:]) and prints its exit code and peak RSS in KiB, by
+# wait4. A child's ru_maxrss starts at its parent's peak, so the command is
+# started from this small process, not from the test's.
+_PEAK_RSS = """\
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 TABLE1_TRACE = (
     '{"in":["5000"],"out":"true"}\n'
@@ -180,6 +191,26 @@ class TestCheckTrace:
             assert json.loads(report)["prefix_verdicts"] == ["UNKNOWN"] * events + ["FALSE"]
         assert len(reports) == 3
         assert peaks[1] - peaks[0] <= 2**19, peaks
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+    def test_process_peak_rss_does_not_grow_with_the_events(self, tmp_path):
+        """The same through `python -m minimon`, which runs without the
+        cyclic collector: the process's peak RSS on 200,000 events over 100
+        inputs is within 1 MiB of its peak on 20,000."""
+        lines = "".join(f'{{"in":["{n}"],"out":"o{n}"}}\n' for n in range(100))
+        peaks = []
+        for events in (20_000, 200_000):
+            trace = tmp_path / f"{events}.jsonl"
+            trace.write_text(lines * (events // 100))
+            result = subprocess.run(
+                [sys.executable, "-S", "-c", _PEAK_RSS, sys.executable, "-m", "minimon",
+                 "check-trace", "--trace", str(trace), "--mode", "mono"],
+                capture_output=True, text=True,
+            )
+            verdict, code, peak = result.stdout.split()
+            assert (verdict, code) == ("UNKNOWN", "2"), result.stderr
+            peaks.append(int(peak))
+        assert abs(peaks[1] - peaks[0]) <= 1024, peaks
 
     @pytest.mark.parametrize(
         "unknown, false",
@@ -1303,6 +1334,28 @@ class TestProcessEnd:
         assert ordinary.stderr == "teardown\n"
         assert (result.returncode, result.stdout, result.stderr) == (1, ordinary.stdout, "")
 
+    @pytest.mark.parametrize("way", _WAYS_IN)
+    def test_every_way_in_runs_the_command_without_the_collector(self, way, files):
+        probe = "import atexit, gc\natexit.register(lambda: print('collector on:', gc.isenabled()))\n"
+        trace = files("t.jsonl", TABLE1_TRACE)
+        result = subprocess.run(
+            [sys.executable, "-c", probe + _WAYS_IN[way], "check-trace", "--trace", trace, "--mode", "mono"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.splitlines()[2:] == ["collector on: False"]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_callers_collector_setting(self, enabled, files, capsys):
+        trace = files("t.jsonl", TABLE1_TRACE)
+        if not enabled:
+            gc.disable()
+        try:
+            assert main(["check-trace", "--trace", trace, "--mode", "mono"]) == 1
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
     def test_importing_the_entry_module_runs_nothing(self):
         from minimon import __main__ as entry
 
@@ -1362,3 +1415,76 @@ class TestProcessEnd:
         assert result.returncode == 0, result.stderr
         written = (tmp_path / "process.jsonl").read_bytes()
         assert written == (tmp_path / "in-process.jsonl").read_bytes() != b""
+
+
+# Each command's argv, with {name} for a file of `_sized_inputs`, and its exit code.
+_ACYCLIC_COMMANDS = {
+    "check-trace mono": (["check-trace", "--trace", "{trace}", "--mode", "mono", "--domain", "{domain}"], 1),
+    "check-trace sdist": (["check-trace", "--trace", "{trace}", "--mode", "sdist", "--domain", "{domain}"], 1),
+    "check-trace mono --json": (["check-trace", "--trace", "{trace}", "--mode", "mono", "--json"], 1),
+    "check-trace sdist --json": (["check-trace", "--trace", "{trace}", "--mode", "sdist", "--json"], 1),
+    "monitor builtin": (["monitor", "--program", "builtin:identity", "--mode", "mono", "--inputs", "{inputs}"], 2),
+    "monitor exec": (["monitor", "--program", "{worker}", "--mode", "sdist", "--inputs", "{inputs}"], 2),
+    "monitor exec --random": (["monitor", "--program", "{worker}", "--mode", "mono", "--random",
+                               "--domain", "{domain}", "--max-steps", "{n}"], 2),
+    "test builtin": (["test", "--program", "builtin:identity", "--domain", "{domain}", "--mode", "mono"], 0),
+    "test exec": (["test", "--program", "{worker}", "--domain", "{domain}", "--mode", "sdist"], 0),
+    "synth-min builtin": (["synth-min", "--program", "builtin:identity", "--domain", "{domain}", "--out", "{out}"], 0),
+    "synth-min exec": (["synth-min", "--program", "{worker}", "--domain", "{domain}", "--out", "{out}"], 0),
+    "check-pre builtin": (["check-pre", "--program", "builtin:identity", "--domain", "{domain}", "--pre", "{pre}"], 0),
+    "check-pre exec": (["check-pre", "--program", "{worker}", "--domain", "{domain}", "--pre", "{pre}"], 0),
+    "oracle dist": (["oracle", "--table", "{table}", "--notion", "dist"], 0),
+    "oracle mono": (["oracle", "--table", "{table}", "--notion", "mono"], 0),
+    "parse error": (["check-trace", "--trace", "{bad}", "--mode", "mono"], 3),
+    "conflict": (["check-trace", "--trace", "{conflict}", "--mode", "sdist"], 3),
+    "refused input": (["monitor", "--program", "{worker}", "--mode", "mono", "--inputs", "{refused}"], 3),
+    "ProgramFailure": (["monitor", "--program", "{exits}", "--mode", "mono", "--inputs", "{inputs}"], 3),
+}
+
+
+def _sized_inputs(tmp_path, n: int) -> dict[str, str]:
+    """Files for `_ACYCLIC_COMMANDS` over the inputs 0..n-1, named by size."""
+    def write(name, lines):
+        path = tmp_path / f"{name}-{n}"
+        path.write_text("".join(lines))
+        return str(path)
+
+    ins = [f'{{"in":["{i}"]}}\n' for i in range(n)]
+    events = [f'{{"in":["{i}"],"out":"o{i}"}}\n' for i in range(n)]
+    return {
+        "n": str(n),
+        "domain": write("domain", [f'{{"sources":[{{"range":[0,{n}]}}]}}']),
+        # Input n shares input 0's output: FALSE, with a witness, at the last event.
+        "trace": write("trace", events + [f'{{"in":["{n}"],"out":"o0"}}\n']),
+        "table": write("table", events),
+        "inputs": write("inputs", ins),
+        "pre": write("pre", [f'{{"from":["{i}"],"to":["{i}"]}}\n' for i in range(n + 1)]),
+        "out": str(tmp_path / f"out-{n}"),
+        "bad": write("bad", events + ['{"in":["0"\n']),
+        "conflict": write("conflict", events + ['{"in":["0"],"out":"x"}\n']),
+        "refused": write("refused", ins + ['{"in":["0","1"]}\n']),
+        "worker": "exec:" + shlex.join(mod_worker(10**9, 10)),
+        "exits": "exec:" + shlex.join([sys.executable, "-S", "-c", _EXIT_AT_REQUEST, str(n)]),
+    }
+
+
+class TestNoCyclicGarbage:
+    """A command process runs without the cyclic collector, which is safe
+    only while no command leaves cyclic garbage that grows with its input:
+    reference counting must free all it builds but a few objects."""
+
+    @pytest.mark.parametrize("name", _ACYCLIC_COMMANDS)
+    def test_a_command_leaves_no_cycles_that_grow_with_its_input(self, name, tmp_path, capsys):
+        template, code = _ACYCLIC_COMMANDS[name]
+        found = []
+        for n in (200, 200, 2000):  # the first run imports what the command loads
+            argv = [arg.format(**_sized_inputs(tmp_path, n)) for arg in template]
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == code, capsys.readouterr().err
+                found.append(gc.collect())
+            finally:
+                gc.enable()
+        capsys.readouterr()
+        assert found[1] == found[2] <= 10, found

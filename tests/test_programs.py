@@ -3,6 +3,7 @@ memo, table files, and the external line protocol."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 import sys
@@ -280,6 +281,20 @@ class TestCommandProgram:
             assert program.evaluate(("11000",)) == "false"
             assert program.evaluate(("9999",)) == "true"
         assert marker.read_text().count("started") == 1
+
+    def test_evaluate_leaves_no_cycle_per_call(self):
+        """Each evaluate() ends a pairs() stream at the end of its order: the
+        stream leaves nothing in a cycle, so 1,000 calls leave nothing for
+        the cyclic collector."""
+        with CommandProgram(mod_worker(10**9, 10), arity=1) as program:
+            gc.collect()
+            gc.disable()
+            try:
+                assert [program.evaluate((str(n),)) for n in range(1000)] == [f"o{n}" for n in range(1000)]
+                found = gc.collect()
+            finally:
+                gc.enable()
+        assert found <= 10, found
 
     def test_tab_joined_request_framing(self, tmp_path):
         argv = _write_script(
