@@ -118,32 +118,22 @@ class CommandProgram(Program):
         rest of its stderr; one still running after the timeout is stopped."""
         if not self._wait(proc, self.timeout):
             self._shutdown()
-        return ProgramFailure(
-            f"{self.name!r}: process exited with code {proc.returncode}{when}",
-            stderr=self._stderr_excerpt(),
-        )
+        return self._failure(f"process exited with code {proc.returncode}{when}")
 
-    def _stderr_excerpt(self) -> str:
-        return b"".join(self._stderr_tail).decode("utf-8", errors="replace")
+    def _failure(self, problem: str) -> ProgramFailure:
+        """The failure `problem` of this program, with the child's stderr read so far."""
+        stderr = b"".join(self._stderr_tail).decode("utf-8", errors="replace")
+        return ProgramFailure(f"{self.name!r}: {problem}", stderr=stderr)
 
     def _parse_reply(self, raw: bytes) -> str:
         if not raw.endswith(b"\n"):
-            raise ProgramFailure(
-                f"{self.name!r}: reply is not LF-terminated: {raw!r}",
-                stderr=self._stderr_excerpt(),
-            )
+            raise self._failure(f"reply is not LF-terminated: {raw!r}")
         try:
             token = raw[:-1].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ProgramFailure(
-                f"{self.name!r}: reply is not valid UTF-8: {raw!r}",
-                stderr=self._stderr_excerpt(),
-            ) from exc
+            raise self._failure(f"reply is not valid UTF-8: {raw!r}") from exc
         if token.split() != [token]:  # is_token() of a str
-            raise ProgramFailure(
-                f"{self.name!r}: malformed reply (expected one output token): {token!r}",
-                stderr=self._stderr_excerpt(),
-            )
+            raise self._failure(f"malformed reply (expected one output token): {token!r}")
         return token
 
     def pairs(self, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
@@ -230,18 +220,12 @@ class CommandProgram(Program):
         if self._lines:
             stray = self._lines[0]
             self._shutdown()
-            raise ProgramFailure(
-                f"{self.name!r}: unsolicited output line {stray!r}",
-                stderr=self._stderr_excerpt(),
-            )
+            raise self._failure(f"unsolicited output line {stray!r}")
         try:
             proc.stdin.write(b"".join(requests))
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise ProgramFailure(
-                f"{self.name!r}: cannot write request: {exc}",
-                stderr=self._stderr_excerpt(),
-            ) from exc
+            raise self._failure(f"cannot write request: {exc}") from exc
         self._in_flight = len(requests)
         self._owner = owner
 
@@ -256,10 +240,7 @@ class CommandProgram(Program):
         if raw is None:
             if self._stdout in self._pipes:
                 self._shutdown()
-                raise ProgramFailure(
-                    f"{self.name!r}: timed out after {self.timeout}s waiting for a reply",
-                    stderr=self._stderr_excerpt(),
-                )
+                raise self._failure(f"timed out after {self.timeout}s waiting for a reply")
             self._in_flight = 0
             raise self._exit_failure(self._proc, " before replying")
         self._in_flight -= 1
@@ -283,10 +264,7 @@ class CommandProgram(Program):
         in_flight = self._in_flight
         leftover = self._shutdown(grace=self.timeout)[in_flight:]
         if leftover:
-            raise ProgramFailure(
-                f"{self.name!r}: unsolicited output line {leftover[0]!r} left over at close",
-                stderr=self._stderr_excerpt(),
-            )
+            raise self._failure(f"unsolicited output line {leftover[0]!r} left over at close")
 
     def _shutdown(self, grace: float = 0.0) -> list[bytes]:
         """Close the child's stdin, give it `grace` seconds to exit while its

@@ -7,8 +7,8 @@ the pre-processor's range is injective. Synthesis groups the domain by
 output and sends every input to its class representative, which yields a
 minimiser by construction.
 
-The collision index and `random` are imported by the functions that run
-them, so that `synth-min` loads neither.
+`random` is imported by the function that runs it, so that `synth-min`
+loads it only to pick random representatives.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, InputOutsideDomain, ParseError
-from .probes import check_arity, check_budget, stream
-from .programs import Program
+from .programs import Program, check_arity, check_budget, stream
 from .trace import (
     _BLANK, InputDomain, InputTuple, _Frozen, _json_line, _jsonl_rows, _pre_line, _Record, _slots,
     file_lines, token_array,
@@ -157,8 +156,6 @@ def validate_preprocessor(
     (default 10^7, env-overridable), or one the table is not total on, is
     refused before any probe, in that order; then the program's stream
     evaluates each domain element once, and every check is a lookup."""
-    from .properties import CollisionIndex, Mode
-
     check_arity(program, domain)
     check_budget(domain.size, "validation needs {} probes")
     mapping = table.mapping
@@ -195,12 +192,11 @@ def validate_preprocessor(
             ))
     pre_ok = not failures
     reps = [target for target in targets if target in outputs]
-    index = CollisionIndex(Mode.MONOLITHIC)
-    for pos, rep in enumerate(reps):
+    first_rep: dict[str, InputTuple] = {}  # output -> its first representative
+    for rep in reps:
         out = outputs[rep]
-        hit = index.add(rep, out, pos)
-        if hit is not None:
-            prior = reps[hit[0]]
+        prior = first_rep.setdefault(out, rep)
+        if prior is not rep:
             failures.append(ValidationFailure(
                 "representatives-collide",
                 (prior, rep),

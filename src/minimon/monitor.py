@@ -20,6 +20,11 @@ from .trace import Event, InputDomain, InputTuple, Trace, _conflict, _FirstSeen,
 _UNKNOWN = Verdict.UNKNOWN
 
 
+def _line(line_of, pos: int) -> str:
+    """"line N: ", N the file line of position `pos`; "" without `line_of`."""
+    return "" if line_of is None else f"line {line_of(pos)}: "
+
+
 class MonitorConfig(_Frozen):
     """Monitoring mode plus the optional declared input domain.
 
@@ -87,9 +92,10 @@ class Monitor:
         An input of the monitor's arity is in the domain iff each token is
         in its source's value set, as InputDomain.contains says; the sets
         are bound once per stream. `line_of`, when given, maps a position to
-        its file line (see trace.record_line), and a DeterminismViolation
-        names both file lines. The counters live on the monitor, not in
-        this loop, so a stream may follow step() calls or a refused input."""
+        its file line (see trace.record_line): each error then starts with
+        "line N: ", and a DeterminismViolation names both file lines. The
+        counters live on the monitor, not in this loop, so a stream may
+        follow step() calls or a refused input."""
         first_seen = self.first_seen
         record = first_seen.setdefault
         index = self._index.add
@@ -109,12 +115,14 @@ class Monitor:
                 elif len(inputs) != self._arity:
                     del first_seen[inputs]
                     raise ValueError(
-                        f"event has arity {len(inputs)}, monitor expects {self._arity}"
+                        f"{_line(line_of, pos)}event has arity {len(inputs)}, "
+                        f"monitor expects {self._arity}"
                     )
                 if sets is not None and not all(map(has, sets, inputs)):
                     del first_seen[inputs]
                     raise InputOutsideDomain(
-                        f"input {inputs} at position {pos} is outside the declared domain",
+                        f"{_line(line_of, pos)}input {inputs} at position {pos} "
+                        "is outside the declared domain",
                         position=pos,
                     )
             self._events_seen = pos + 1

@@ -1,4 +1,5 @@
-"""Black-box program handles: builtins and table lookups.
+"""Black-box program handles: builtins and table lookups, and what every
+whole-domain run shares.
 
 Every handle evaluates each distinct input once, and its first output
 answers every repeat, so what a monitor observes is deterministic. A table
@@ -6,13 +7,19 @@ file that gives one input two outputs is refused when it is loaded.
 External commands (`exec:`) are `command.CommandProgram`, and the bundled
 examples that `builtin:<name>` names are in `examples`: each loads only for
 the programs that run it.
+
+`tester` and `minimiser` make the same checks before their first probe (the
+program takes the domain's arity, and the planned work fits the probe
+budget), and read the program's answers through the same stream.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
+    BudgetExceeded,
     DeterminismViolation,
     InputOutsideDomain,
     ParseError,
@@ -103,6 +110,40 @@ class Program:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, arity={self.arity})"
+
+
+DEFAULT_BUDGET = 10**7
+BUDGET_ENV_VAR = "MINIMON_BUDGET"
+
+
+def check_budget(planned: int, need: str) -> None:
+    """BudgetExceeded when `planned` exceeds the budget: DEFAULT_BUDGET, or
+    the integer in MINIMON_BUDGET; `need` starts the message, with {} for
+    `planned`."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    try:
+        budget = DEFAULT_BUDGET if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if planned > budget:
+        raise BudgetExceeded(f"{need.format(planned)}, budget is {budget}")
+
+
+def check_arity(program, domain: InputDomain) -> None:
+    """ValueError unless `program` takes inputs of the domain's arity."""
+    if program.arity != domain.arity:
+        raise ValueError(
+            f"program arity {program.arity} does not match domain arity {domain.arity}"
+        )
+
+
+def stream(program, order: Iterable[InputTuple]) -> Iterator[tuple[InputTuple, str]]:
+    """`program.pairs(order)`. A handle without pairs(), such as a wrapper
+    around a Program, is observed once per input."""
+    pairs = getattr(program, "pairs", None)
+    if pairs is not None:
+        return pairs(order)
+    return ((e.inputs, e.output) for e in map(program.observe, order))
 
 
 class BuiltinProgram(Program):

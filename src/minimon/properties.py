@@ -70,7 +70,8 @@ _SHARED = object()
 
 
 class CollisionIndex:
-    """First-occurrence collision index behind every minimality check.
+    """First-occurrence collision index behind the monitors, the witness
+    search and the table oracles.
 
     Feed each distinct input once, in increasing position order; since the
     fed inputs are distinct, any hit on an existing key is a collision.

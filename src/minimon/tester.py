@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DomainMismatch
-from .probes import check_arity, check_budget, stream
+from .programs import check_arity, check_budget, stream
 from .properties import Mode, Verdict, Witness, least_collision
 from .trace import InputDomain, InputTuple, Trace, _Frozen, _Record
 

@@ -24,8 +24,10 @@ from hypothesis import given, settings, strategies as st
 from minimon import (
     DeterminismViolation,
     InputDomain,
+    InputOutsideDomain,
     MinimonError,
     Mode,
+    Monitor,
     MonitorConfig,
     ParseError,
     TableProgram,
@@ -34,7 +36,6 @@ from minimon import (
     load_trace,
     monitor_eval,
     parse_trace,
-    prefix_verdicts,
 )
 from minimon.cli import _MODES, _ONE_OF, _SUBCOMMANDS, _make_parser, _read, cmd_check_trace, main
 from minimon.trace import parse_input_lines
@@ -287,6 +288,19 @@ class TestCheckTrace:
             "error: line 4: input ['1'] produced 'b' but 'a' on line 1\n"
         )
 
+    @pytest.mark.parametrize("trace, domain, error", [
+        ('{"in":["0"],"out":"a"}\n\n{"in":["7"],"out":"b"}\n', '{"sources":[{"set":["0","1"]}]}',
+         "line 3: input ('7',) at position 1 is outside the declared domain"),
+        ('\n{"in":["0"],"out":"a"}\n', '{"sources":[{"set":["0","1"]},{"set":["0","1"]}]}',
+         "line 2: event has arity 1, monitor expects 2"),
+    ], ids=["outside", "arity"])
+    def test_domain_errors_name_the_file_line(self, files, trace, domain, error):
+        """A blank line before the record the domain refuses: the error names
+        its file line, which is not its position + 1."""
+        trace, domain = files("trace.jsonl", trace), files("d.json", domain)
+        result = run_cli("check-trace", "--trace", trace, "--mode", "mono", "--domain", domain)
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", f"error: {error}\n")
+
 
 _FAULTS = (None, "conflict", "arity", "token", "json", "outside", "domain-arity")
 
@@ -332,10 +346,18 @@ def _parse_then_monitor(text, domain, mode, as_json):
     config = MonitorConfig(mode, domain and InputDomain.from_dict(domain))
     try:
         trace = parse_trace(text)
-        verdicts = prefix_verdicts(config, trace)
-        verdict, witness = monitor_eval(config, trace)
     except (MinimonError, ValueError) as exc:
         return exc
+    monitor = Monitor(config)
+    try:
+        verdicts = list(monitor.steps(trace._pairs))
+    except (ValueError, InputOutsideDomain) as exc:
+        # The monitor refused the event at events_seen: check-trace names its file line.
+        line = [n for n, row in enumerate(text.split("\n"), 1) if row.strip()][monitor.events_seen]
+        if isinstance(exc, InputOutsideDomain):
+            return InputOutsideDomain(f"line {line}: {exc}", position=exc.position)
+        return ValueError(f"line {line}: {exc}")
+    verdict, witness = monitor_eval(config, trace)
     if as_json:
         out = json.dumps({
             "command": "check-trace",

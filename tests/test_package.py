@@ -8,7 +8,9 @@ import copy
 import inspect
 import json
 import os
+import pathlib
 import pickle
+import re
 import shlex
 import subprocess
 import sys
@@ -481,15 +483,15 @@ _COMMANDS = {
     ),
     "check-pre": (
         ["check-pre", "--program", _EXEC, "--domain", "{domain}", "--pre", "{pre}", "--json"],
-        _EXEC_MODULES, _EXAMPLES | _STEPPING,
+        _EXEC_MODULES, _EXAMPLES | _STEPPING | {"minimon.properties"},
     ),
     "check-pre-builtin": (
         ["check-pre", "--program", "builtin:xor", "--domain", "{domain}", "--pre", "{pre}"],
-        _EXAMPLES, _EXEC_MODULES | _STEPPING,
+        _EXAMPLES, _EXEC_MODULES | _STEPPING | {"minimon.properties"},
     ),
     "check-pre-table": (
         ["check-pre", "--program", "table:{table}", "--domain", "{domain}", "--pre", "{pre}"],
-        set(), _NOT_PROGRAMS | _STEPPING,
+        set(), _NOT_PROGRAMS | _STEPPING | {"minimon.properties"},
     ),
     "oracle": (
         ["oracle", "--table", "{table}", "--notion", "dist"],
@@ -518,6 +520,44 @@ def test_no_command_loads_dataclasses_or_inspect(inputs, pre, tmp_path, args, lo
     assert result.stdout
     assert loads <= modules
     assert modules & (skips | {"dataclasses", "inspect", "argparse"}) == set()
+
+
+def _readme_module_table() -> dict[str, set[str]]:
+    """README's "Library" table: each subcommand, and the minimon modules
+    that its "Also loads" cell names in backticks (options and standard
+    library modules left out)."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    rows = text[text.index("| Subcommand | Also loads |"):].split("\n\n")[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        _, subcommand, loads, _ = row.split("|")
+        table[subcommand.strip(" `")] = {
+            name for name in re.findall(r"`([^`]+)`", loads)
+            if name.isidentifier() and name not in sys.stdlib_module_names
+        }
+    return table
+
+
+_README_TABLE = _readme_module_table()
+# The _COMMANDS entry that runs each subcommand of README's table with a
+# builtin: program, or with none.
+_README_RUNS = {
+    "check-trace": "check-trace", "monitor": "monitor", "test": "test",
+    "synth-min": "synth-min-builtin", "check-pre": "check-pre-builtin", "oracle": "oracle-mono",
+}
+
+
+@pytest.mark.parametrize("subcommand, named", _README_TABLE.items(), ids=_README_TABLE)
+def test_readme_names_the_modules_each_subcommand_loads(inputs, pre, tmp_path, subcommand, named):
+    """Beyond cli, errors and trace, which every subcommand loads, and
+    examples, which builtin: adds, a subcommand loads exactly the minimon
+    modules that README's table names for it."""
+    paths = {**inputs, "pre": pre, "out": str(tmp_path / "out.jsonl")}
+    args = _COMMANDS[_README_RUNS[subcommand]][0]
+    result, modules = run_cli_bare(*(arg.format(**paths) for arg in args))
+    assert result.returncode in (0, 1, 2), result.stderr
+    loaded = {name[len("minimon."):] for name in modules if name.startswith("minimon.")}
+    assert loaded - {"cli", "errors", "trace", "examples"} == named
 
 
 @pytest.mark.parametrize(

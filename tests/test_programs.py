@@ -3,6 +3,7 @@ memo, table files, and the external line protocol."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import re
@@ -1086,3 +1087,63 @@ def test_non_utf8_reply_carries_the_stderr_excerpt(tmp_path):
         f"{program.name!r}: reply is not valid UTF-8: b'\\xff\\n' "
         "[stderr: about to send a latin-1 byte]"
     )
+
+
+# Writes "note" to stderr, then answers each request line v with "r<v>", but
+# exits at "exit", sleeps at "sleep", sends a second line at "extra", leaves
+# out the LF at "partial", sends a byte that is not UTF-8 at "utf8" and two
+# tokens at "two", and closes its stdin before answering "deaf".
+FAULTS_AFTER_A_NOTE = """\
+    import os, sys, time
+    sys.stderr.write("note\\n")
+    sys.stderr.flush()
+    for line in sys.stdin.buffer:
+        v = line.rstrip(b"\\n")
+        if v == b"exit":
+            os._exit(4)
+        if v == b"sleep":
+            time.sleep(30)
+        if v == b"deaf":
+            os.close(0)
+        reply = {b"extra": b"rextra\\nextra\\n", b"partial": b"rpartial", b"utf8": b"\\xff\\n",
+                 b"two": b"a b\\n"}.get(v, b"r" + line)
+        sys.stdout.buffer.write(reply)
+        sys.stdout.flush()
+        if v == b"partial":
+            break
+        if v == b"deaf":
+            time.sleep(30)
+"""
+
+
+@pytest.mark.parametrize("requests, timeout, problem", [
+    (["exit", "a"], 10, "process exited with code 4"),
+    (["exit"], 10, "process exited with code 4 before replying"),
+    (["sleep"], 0.3, "timed out after 0.3s waiting for a reply"),
+    (["extra", "a"], 10, "unsolicited output line b'extra\\n'"),
+    (["extra", None], 10, "unsolicited output line b'extra\\n' left over at close"),
+    (["partial"], 10, "reply is not LF-terminated: b'rpartial'"),
+    (["utf8"], 10, "reply is not valid UTF-8: b'\\xff\\n'"),
+    (["two"], 10, "malformed reply (expected one output token): 'a b'"),
+    (["deaf", "a"], 0.3, "cannot write request: [Errno 32] Broken pipe"),
+], ids=["exited-before-a-send", "exited-before-replying", "timed-out", "unsolicited-at-send",
+        "left-over-at-close", "no-lf", "not-utf8", "malformed", "cannot-write"])
+def test_every_exec_failure_names_the_program_and_ends_with_the_stderr_excerpt(
+    tmp_path, requests, timeout, problem
+):
+    """Each ProgramFailure of the exec: handle but `cannot start` reads
+    "'<name>': <problem> [stderr: <excerpt>]", and keeps the excerpt as
+    `stderr`. The last request (None: close()) fails; those before it may.
+    A child that sleeps is stopped after `timeout`."""
+    argv = _write_script(tmp_path, "faults.py", FAULTS_AFTER_A_NOTE)
+    program = CommandProgram(argv, arity=1, timeout=timeout)
+    try:
+        for request in requests[:-1]:
+            with contextlib.suppress(ProgramFailure):
+                program.evaluate((request,))
+        with pytest.raises(ProgramFailure) as exc:
+            program.evaluate((requests[-1],)) if requests[-1] else program.close()
+    finally:
+        program.close()
+    assert str(exc.value) == f"{program.name!r}: {problem} [stderr: note]"
+    assert exc.value.stderr == "note\n"
